@@ -21,22 +21,31 @@
 //! done-exchange callback.  Kernels without communication skip the
 //! snapshot entirely.
 //!
-//! Because every cross-PE read goes through the immutable snapshot, the
-//! per-PE sweep is embarrassingly parallel: large grids are split into row
-//! bands executed by a persistent [`WorkerPool`] owned by the simulator
-//! (created lazily the first time a kernel's work exceeds
-//! [`PARALLEL_WORK_THRESHOLD`], barrier-synchronized per macro step — the
-//! per-kernel `thread::scope` spawn of the previous engine paid thread
-//! creation on every macro step).  Each PE's arithmetic is identical
-//! regardless of the band split, so results are deterministic and bitwise
-//! equal to single-threaded execution.  Asynchrony affects timing only,
-//! which is handled by the analytic model in [`crate::perf`].
+//! A cross-PE read observes only pre-kernel state: either the immutable
+//! snapshot, or — when the optimizer elided the capture, which it does for
+//! every compiled paper program — the neighbor's live arena column, whose
+//! write-back the kernel defers to a *commit* that lags the sweep by
+//! [`LinkedComm::max_dy`] rows.  Either way the per-PE sweep is
+//! embarrassingly parallel: large grids are split into row bands executed
+//! by a persistent [`WorkerPool`] owned by the simulator (created lazily
+//! the first time a kernel's work exceeds [`PARALLEL_WORK_THRESHOLD`], one
+//! dispatch and one acknowledgement barrier per kernel).  A capture-elided
+//! kernel runs as a *banded commit wavefront*: each band sweeps its rows
+//! top to bottom and commits, right behind the sweep, the rows no other
+//! band can read (those at least `max_dy` rows from a neighbouring band);
+//! after the barrier the dispatcher commits the at most
+//! `2 * max_dy * (bands - 1)` edge rows.  The single-threaded path is the
+//! same loop with one band spanning the grid.  Each PE's arithmetic is
+//! identical regardless of the band split, so results are deterministic
+//! and bitwise equal to single-threaded execution.  Asynchrony affects
+//! timing only, which is handled by the analytic model in [`crate::perf`].
 //!
 //! Snapshots are *incremental*: each kernel owns a region of the snapshot
 //! buffer, and a field column is only re-captured when its backing buffer
 //! was written since the previous capture (tracked per buffer with write
 //! epochs from [`crate::link::LinkedKernel::writes`]).
 
+use std::ops::Range;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
@@ -130,12 +139,25 @@ fn err(message: impl Into<String>) -> ExecError {
     ExecError::invalid(message)
 }
 
-/// Minimum elements of per-kernel work across the grid before the sweep is
-/// split across threads.  Re-tuned after the SIMD kernel plans landed: the
-/// vector kernels cut per-row cost several-fold, so the dispatch overhead
-/// of the pool amortizes only on correspondingly larger grids (below this,
-/// channel round-trips dominate the now-cheaper sweeps).
-const PARALLEL_WORK_THRESHOLD: usize = 400_000;
+/// Minimum elements of per-kernel work across the grid
+/// (`work_per_pe * n_pes`) before the sweep is split across threads: the
+/// smallest measured size at which the pool is not slower than one thread.
+/// Forced-serial against forced-pool `run()` throughput of the Fortran
+/// Jacobian (2 chunks, `work_per_pe = 8 * z`), medians of 41 interleaved
+/// samples, three sweeps, 2-core Xeon @ 2.1 GHz (4 MiB L2 per core) with
+/// the banded commit wavefront in place:
+///
+/// | grid        | work   | serial MPts/s | pool MPts/s | pool / serial |
+/// |-------------|--------|---------------|-------------|---------------|
+/// | 48×48×96    |  1.77M | 1324–1379     | 1038–1209   | 0.75–0.88     |
+/// | 64×64×96    |  3.15M | 1212–1346     | 1227–1474   | 1.01–1.13     |
+/// | 80×80×96    |  4.92M | 1091–1178     | 1333–1723   | 1.22–1.46     |
+/// | 96×96×96    |  7.08M |  997–1149     | 1336–1912   | 1.34–1.66     |
+/// | 128×128×128 | 16.78M | 1005–1152     | 1515–2054   | 1.51–1.78     |
+///
+/// Below the threshold the two channel round-trips per kernel cost more
+/// than half a cache-resident sweep saves.
+const PARALLEL_WORK_THRESHOLD: usize = 64 * 64 * 768;
 
 /// A functional simulation of a PE grid running a lowered program,
 /// compiled to flat per-PE memory arenas at construction time.
@@ -710,7 +732,7 @@ impl WseGridSim {
 
         // SAFETY notes on `arenas_ptr`: kernels with an elided capture read
         // neighbor arena columns through this pointer while the sweep
-        // mutates arena ranges.  Soundness rests on two invariants:
+        // mutates arena ranges.  Soundness rests on three invariants:
         // (1) the pointer is the *root* of every arena access on those
         // paths — the mutable row/band slices are re-derived from it with
         // `from_raw_parts_mut`, never from a fresh `&mut self.arenas`
@@ -718,24 +740,24 @@ impl WseGridSim {
         // written by a sweep never overlap the ranges read through the
         // pointer — the linker proved no sweep instruction writes a
         // snapshotted buffer (see `link::defer_commits`), and deferred
-        // commits only run once no sweep can observe them.
+        // commits only run once no sweep can observe them; (3) across
+        // bands, a band's in-band commits write transmitted columns only
+        // of rows inside its commit window (see `commit_window`) — rows at
+        // least `max_dy` away from a neighbouring band, which no other
+        // band's sweep can read — and lag its own sweep by `max_dy` rows;
+        // the remaining edge rows are committed by the dispatcher only
+        // after every band has acknowledged.
         let arenas_ptr = self.arenas.as_mut_ptr();
         let n_arena_elems = self.arenas.len();
         let max_dy = kernel.comm.as_ref().map(LinkedComm::max_dy).unwrap_or(0);
         let direct = kernel.comm.as_ref().is_some_and(|c| !c.capture);
 
         if row_stride == 0 || (bands <= 1 && !forced) {
-            // Serial path: interleave snapshot and sweep as a row
-            // wavefront.  A PE's sweep reads snapshot rows up to `max_dy`
-            // ahead, so capturing just ahead of the sweep keeps each arena
-            // row L2-hot across both touches instead of streaming the grid
-            // twice per kernel.  Captured columns are identical either
-            // way, so results stay bitwise equal to the phase-split path.
-            if direct && row_stride != 0 {
-                // Elided capture: sweep against the live arenas (still
-                // pre-kernel state for the transmitted fields) and lag the
-                // deferred commits `max_dy` rows behind the sweep, so no
-                // later row can observe a committed value.
+            // Serial path: one band spanning the grid.
+            if stale.is_empty() {
+                // Nothing to capture: every column is still fresh, or the
+                // capture is elided (`direct`) and `run_band` lags the
+                // deferred commits `max_dy` rows behind its sweep.
                 let ctx = KernelCtx::new(
                     kernel,
                     kplan,
@@ -745,37 +767,19 @@ impl WseGridSim {
                     &self.zero_col,
                     (arenas_ptr, n_arena_elems),
                 );
-                // SAFETY: all row slices derive from `arenas_ptr` (see the
-                // invariants above), are in bounds, and are taken one at a
-                // time.
-                let row_at = |y: usize| unsafe {
-                    std::slice::from_raw_parts_mut(arenas_ptr.add(y * row_stride), row_stride)
-                };
-                let mut cols: Vec<&[f32]> = Vec::new();
-                let has_commit = !kernel.commit.is_empty();
-                for y in 0..height {
-                    ctx.run_row(row_at(y), y as i64, &mut self.scratch, &mut cols);
-                    if has_commit && y >= max_dy {
-                        ctx.commit_row(row_at(y - max_dy), &mut self.scratch);
-                    }
-                }
-                if has_commit {
-                    for y in height.saturating_sub(max_dy)..height {
-                        ctx.commit_row(row_at(y), &mut self.scratch);
-                    }
-                }
-            } else if stale.is_empty() {
-                let ctx = KernelCtx::new(
-                    kernel,
-                    kplan,
-                    linked,
-                    &self.snapshot,
-                    (snap_stride, snap_base),
-                    &self.zero_col,
-                    (arenas_ptr, n_arena_elems),
-                );
-                ctx.run_band(&mut self.arenas, 0, &mut self.scratch);
+                // SAFETY: the band must be a sibling of the `arenas_ptr`
+                // reads a direct sweep performs (see the invariants above),
+                // so it is re-derived from the pointer instead of borrowing
+                // `self.arenas` afresh; it spans exactly the allocation.
+                let all = unsafe { std::slice::from_raw_parts_mut(arenas_ptr, n_arena_elems) };
+                ctx.run_band(all, 0, &mut self.scratch, None);
             } else {
+                // Interleave snapshot and sweep as a row wavefront.  A PE's
+                // sweep reads snapshot rows up to `max_dy` ahead, so
+                // capturing just ahead of the sweep keeps each arena row
+                // L2-hot across both touches instead of streaming the grid
+                // twice per kernel.  Captured columns are identical either
+                // way, so results stay bitwise equal to the phase-split path.
                 let comm = kernel.comm.as_ref().expect("stale columns imply an exchange");
                 let pass = SnapshotPass { linked, comm, snap_stride, snap_base, stale: &stale };
                 let mut captured = 0usize;
@@ -799,15 +803,16 @@ impl WseGridSim {
                         (arenas_ptr, n_arena_elems),
                     );
                     let row = &mut self.arenas[y * row_stride..][..row_stride];
-                    ctx.run_band(row, y as i64, &mut self.scratch);
+                    ctx.run_band(row, y as i64, &mut self.scratch, None);
                 }
             }
         } else {
             // Parallel path: capture the full snapshot, then fan the sweep
             // out over the persistent worker pool (created on first use,
             // reused for every subsequent macro step).  With an elided
-            // capture the sweep reads live arenas instead, and the blocking
-            // dispatch doubles as the barrier before the commit pass.
+            // capture the sweep reads live arenas instead: each band commits
+            // its own window behind its sweep, and the blocking dispatch
+            // doubles as the barrier before the edge-row commits.
             if let Some(comm) = &kernel.comm {
                 if !stale.is_empty() {
                     let pass = SnapshotPass { linked, comm, snap_stride, snap_base, stale: &stale };
@@ -941,11 +946,18 @@ impl WseGridSim {
                 }
             }
             if !kernel.commit.is_empty() {
-                // Commit pass: every sweep has completed (run_bands blocks),
-                // so the deferred write-backs can no longer be observed
-                // mid-kernel.  The pass touches only the freshly written
-                // accumulators and the field columns, so it runs serially.
-                ctx.commit_row(&mut self.arenas, &mut self.scratch);
+                // Edge pass: every sweep has completed (run_bands blocks),
+                // so the rows within `max_dy` of a band boundary — the only
+                // ones the bands left uncommitted — can no longer be
+                // observed mid-kernel.
+                for first in (0..height).step_by(rows_per_band) {
+                    let end = height.min(first + rows_per_band);
+                    let window = commit_window(first..end, height, max_dy);
+                    for edge in [first..window.start, window.end..end] {
+                        let pes = edge.start * row_stride..edge.end * row_stride;
+                        ctx.commit_row(&mut self.arenas[pes], &mut self.scratch);
+                    }
+                }
             }
         }
 
@@ -1165,15 +1177,45 @@ impl<'a> KernelCtx<'a> {
     }
 }
 
+/// The *commit window* of the band of rows `band` in a grid of `height`
+/// rows: the rows at least `max_dy` away from a neighbouring band, whose
+/// transmitted columns no other band's sweep can read, so the band commits
+/// them itself behind its sweep.  The grid's top and bottom bands have no
+/// neighbour on that side; a band narrower than `2 * max_dy` has an empty
+/// window.  The rest of the band — `band.start..window.start` and
+/// `window.end..band.end`, the *edge rows* — is committed by the
+/// dispatcher after the barrier.
+fn commit_window(band: Range<usize>, height: usize, max_dy: usize) -> Range<usize> {
+    let top = if band.start == 0 { 0 } else { max_dy };
+    let bottom = if band.end >= height { 0 } else { max_dy };
+    let start = (band.start + top).min(band.end);
+    let end = band.end.saturating_sub(bottom).max(start);
+    debug_assert!(
+        band.start <= start && start <= end && end <= band.end,
+        "top edge, window {start}..{end} and bottom edge must partition band {band:?}"
+    );
+    start..end
+}
+
 /// An injected worker-band fault, attached to one job of one dispatch.
+/// It fires halfway through the band's rows (see `KernelCtx::run_band`),
+/// so a direct kernel's band dies with part of its window committed.
 #[derive(Debug, Clone, Copy)]
 enum BandFault {
-    /// Panic before touching the band (captured by the worker's
-    /// `catch_unwind`).
+    /// Panic (captured by the worker's `catch_unwind`).
     Panic,
-    /// Sleep this many milliseconds before running the band — sized past
-    /// the watchdog deadline to wedge the barrier.
+    /// Sleep this many milliseconds — sized past the watchdog deadline to
+    /// wedge the barrier — then finish the band.
     Stall(u64),
+}
+
+impl BandFault {
+    fn fire(self) {
+        match self {
+            BandFault::Panic => panic!("{INJECTED_BAND_PANIC}"),
+            BandFault::Stall(millis) => std::thread::sleep(Duration::from_millis(millis)),
+        }
+    }
 }
 
 /// Why a band dispatch failed.
@@ -1194,7 +1236,8 @@ enum BandError {
 /// acknowledged (or the watchdog expires, after which the engine
 /// quarantines everything the job references), so the pointers never
 /// outlive their referents, and bands are disjoint `chunks_mut` slices so
-/// no two jobs alias.
+/// no two jobs alias (a direct kernel's in-band commits stay inside the
+/// band as well; see `commit_window`).
 struct Job {
     ctx: *const (),
     band: *mut f32,
@@ -1262,13 +1305,6 @@ impl WorkerPool {
                     // barrier would wait for the watchdog on every panic:
                     // capture the unwind and ship the message instead.
                     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        match job.fault {
-                            Some(BandFault::Panic) => panic!("{INJECTED_BAND_PANIC}"),
-                            Some(BandFault::Stall(millis)) => {
-                                std::thread::sleep(Duration::from_millis(millis));
-                            }
-                            None => {}
-                        }
                         // SAFETY: per the `Job` invariants, the context
                         // and the band slice are live for the duration
                         // of the job and the band does not alias any
@@ -1276,7 +1312,7 @@ impl WorkerPool {
                         let ctx = unsafe { &*(job.ctx as *const KernelCtx<'static>) };
                         let band =
                             unsafe { std::slice::from_raw_parts_mut(job.band, job.band_len) };
-                        ctx.run_band(band, job.first_row, &mut scratch);
+                        ctx.run_band(band, job.first_row, &mut scratch, job.fault);
                     }));
                     let ack = result.map_err(panic_message);
                     if done_tx.send((job.generation, ack)).is_err() {
@@ -1384,20 +1420,59 @@ impl<'a> KernelCtx<'a> {
     ///
     /// Execution is *instruction-major within a row*: each instruction
     /// sweeps all PEs of the row before the next instruction runs.  PEs
-    /// are independent within a kernel (cross-PE reads go through the
-    /// snapshot), so any interleaving preserves each PE's own operation
-    /// order — results are bitwise identical to PE-major order — while
-    /// dispatch (instruction match, slot resolution) amortizes over the
-    /// whole row and the row's arenas stay cache-hot.
-    fn run_band(&self, band: &mut [f32], first_row: i64, scratch: &mut [f32]) {
+    /// are independent within a kernel (cross-PE reads observe only
+    /// pre-kernel state), so any interleaving preserves each PE's own
+    /// operation order — results are bitwise identical to PE-major order —
+    /// while dispatch (instruction match, slot resolution) amortizes over
+    /// the whole row and the row's arenas stay cache-hot.
+    ///
+    /// Deferred commits (capture-elided kernels) run as a wavefront inside
+    /// the band: row `y - max_dy` of the band's [`commit_window`] is
+    /// committed right after row `y` is swept, while it is still
+    /// cache-hot, and the rest of the window once the band's sweep ends.
+    /// The rows outside the window are left to the dispatcher.
+    ///
+    /// `fault` is an injected band fault; it fires halfway through the
+    /// band's rows.
+    fn run_band(
+        &self,
+        band: &mut [f32],
+        first_row: i64,
+        scratch: &mut [f32],
+        fault: Option<BandFault>,
+    ) {
         let row_stride = self.linked.width as usize * self.linked.arena_len;
         if row_stride == 0 {
             return;
         }
+        let first = first_row as usize;
+        let rows = band.len() / row_stride;
+        let max_dy = self.kernel.comm.as_ref().map(LinkedComm::max_dy).unwrap_or(0);
+        let window = if self.plan.commit.is_empty() {
+            first..first
+        } else {
+            commit_window(first..first + rows, self.linked.height as usize, max_dy)
+        };
+        let mut next_commit = window.start;
         let mut cols: Vec<&[f32]> = Vec::new();
-        for (r, row) in band.chunks_exact_mut(row_stride).enumerate() {
-            let y = first_row + r as i64;
-            self.run_row(row, y, scratch, &mut cols);
+        for r in 0..rows {
+            if r == rows / 2 {
+                if let Some(fault) = fault {
+                    fault.fire();
+                }
+            }
+            let y = first + r;
+            self.run_row(&mut band[r * row_stride..][..row_stride], y as i64, scratch, &mut cols);
+            // Row `y - max_dy` is settled once row `y` is swept: the band's
+            // own sweep is past it, and no other band's reads the window.
+            // After the band's last row the whole window is.
+            let settled = if r + 1 == rows { y + 1 } else { (y + 1).saturating_sub(max_dy) };
+            let settled = settled.min(window.end);
+            if next_commit < settled {
+                let pes = (next_commit - first) * row_stride..(settled - first) * row_stride;
+                self.commit_row(&mut band[pes], scratch);
+                next_commit = settled;
+            }
         }
     }
 

@@ -390,9 +390,11 @@ pub struct LinkedKernel {
     /// Deferred write-back instructions split off the end of `done` by the
     /// optimizer when it elides the snapshot capture: they run only after
     /// every sweep that may still read this PE's pre-kernel state has
-    /// finished (the run phase lags them by [`LinkedComm::max_dy`] rows,
-    /// or a barrier in the parallel path).  Empty unless
-    /// [`LinkedComm::capture`] is `false`.
+    /// finished.  The run phase lags them [`LinkedComm::max_dy`] rows
+    /// behind the sweep of the row band that owns the PE; only the rows
+    /// within `max_dy` of a neighbouring band, which that band's sweep
+    /// reads, wait for the barrier that ends the parallel dispatch.  Empty
+    /// unless [`LinkedComm::capture`] is `false`.
     pub commit: Vec<LinkedInstr>,
     /// Elements processed per PE per kernel invocation (used to decide
     /// whether parallel execution is worthwhile).
@@ -1363,8 +1365,9 @@ fn merge_fused_sweeps(instrs: Vec<LinkedInstr>, stats: &mut OptStats) -> Vec<Lin
 /// ([`LinkedKernel::commit`]): the run phase executes all sweeps against
 /// the live arenas — which still hold the pre-kernel state, because
 /// nothing else writes those buffers — and applies the commits once no
-/// sweep can observe them (lagging [`LinkedComm::max_dy`] rows behind in
-/// the serial wavefront, or after a barrier in the parallel path).  This
+/// sweep can observe them (lagging [`LinkedComm::max_dy`] rows behind the
+/// sweep inside each row band; the few rows a neighbouring band reads,
+/// after the barrier).  This
 /// removes the snapshot copy entirely; direct slot reads
 /// ([`SrcRef::Slot`]) then resolve to the neighbor's arena column.
 ///

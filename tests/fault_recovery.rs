@@ -177,6 +177,70 @@ fn stalled_band_hits_the_watchdog_and_recovery_replays() {
     assert!(!sim.poisoned(), "rollback restored the quarantined engine");
 }
 
+/// A band fault on the *middle* band of a three-band capture-elided
+/// kernel.  Band faults fire halfway through the band's rows, so on the
+/// 18-row grid the six-row middle band has already committed the first
+/// row of its window behind its sweep when it dies, and its two
+/// neighbours have committed theirs: the state the failure leaves behind
+/// is a partial wavefront, not an untouched band.
+fn middle_band_fault_mid_wavefront(fault: FaultKind, expected: ExecErrorKind) {
+    quiet_injected_panics();
+    let loaded = loaded_jacobian(4, 18, 8, 6);
+    let baseline = state_of(&loaded, LINK);
+    let recovery =
+        RecoveryOptions { checkpoint_every: 2, watchdog_ms: 150, ..RecoveryOptions::default() };
+    let engine = || {
+        let mut sim = WseGridSim::with_options(loaded.clone(), LINK).expect("links");
+        let kernel = &sim.linked().kernels[0];
+        assert!(
+            kernel.comm.as_ref().is_some_and(|c| !c.capture) && !kernel.commit.is_empty(),
+            "the fault must strike a kernel that commits inside its bands"
+        );
+        sim.set_threads(3);
+        // Recovery is enabled on both engines: it is what arms the short
+        // watchdog.  `run_timestep` bypasses its rollback loop.
+        sim.enable_recovery(recovery);
+        sim
+    };
+
+    // Under the recovery loop the fault is absorbed.
+    let mut sim = engine();
+    sim.set_fault_plan(FaultPlan::from_events(vec![(3, fault)]));
+    sim.run(None).expect("recovery absorbs the fault");
+    assert_bitwise("mid-wavefront recovery", &baseline, &sim.grid_state().expect("extracts"));
+    let stats = sim.recovery_stats().expect("recovery was enabled");
+    assert_eq!(stats.band_panics + stats.band_timeouts, 1, "the fault was detected: {stats:?}");
+    assert!(stats.rollbacks >= 1);
+
+    // Outside it the error is typed, the engine is poisoned, and a
+    // restore brings it back.
+    let mut sim = engine();
+    let checkpoint = sim.checkpoint();
+    sim.set_fault_plan(FaultPlan::from_events(vec![(0, fault)]));
+    let err = sim.run_timestep().expect_err("the fault surfaces");
+    assert_eq!(err.kind, expected);
+    assert!(sim.poisoned(), "state was lost mid-wavefront");
+    sim.restore(&checkpoint).expect("restores");
+    sim.run(None).expect("clean re-run");
+    assert_bitwise("mid-wavefront restore", &baseline, &sim.grid_state().expect("extracts"));
+}
+
+#[test]
+fn middle_band_panic_mid_wavefront_recovers_or_is_typed() {
+    middle_band_fault_mid_wavefront(
+        FaultKind::BandPanic { kernel: 0, band: 1 },
+        ExecErrorKind::BandPanicked,
+    );
+}
+
+#[test]
+fn middle_band_stall_mid_wavefront_recovers_or_is_typed() {
+    middle_band_fault_mid_wavefront(
+        FaultKind::BandStall { kernel: 0, band: 1, millis: 1_500 },
+        ExecErrorKind::Timeout,
+    );
+}
+
 #[test]
 fn dropped_halo_delivery_is_caught_by_the_delivery_checksum() {
     let loaded = loaded_jacobian(4, 4, 8, 6);

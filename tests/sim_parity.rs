@@ -3,13 +3,18 @@
 //! counts, and optimization settings (vendored proptest shim) — and the
 //! link-time optimizer must be bitwise-transparent: every case runs
 //! through both the optimized and the `WSE_SIM_NO_FUSE=1` stream and the
-//! two grids must be identical bit for bit.
+//! two grids must be identical bit for bit.  So must the pooled band
+//! wavefront, for any band count, against single-threaded execution.
 
 use proptest::prelude::*;
-use wse_frontends::ast::StencilProgram;
-use wse_frontends::benchmarks::{diffusion, jacobian};
+use testkit::conformance::bitwise_difference;
+use wse_frontends::ast::{Expr, Frontend, GridSpec, StencilEquation, StencilProgram};
+use wse_frontends::benchmarks::{acoustic, diffusion, jacobian, seismic_25pt, uvkbe};
 use wse_lowering::{lower_program, PipelineOptions};
-use wse_sim::{load_program, max_abs_difference, run_reference, LinkOptions, WseGridSim};
+use wse_sim::{
+    load_program, max_abs_difference, run_reference, GridState, LinkOptions, LoadedProgram,
+    WseGridSim,
+};
 
 /// Lowers, links, and simulates with the link-time optimizer on and off;
 /// asserts the two streams agree bitwise and returns the optimized
@@ -38,6 +43,73 @@ fn deviation(program: &StencilProgram, options: &PipelineOptions) -> f32 {
 
     let reference = run_reference(program, None);
     max_abs_difference(&simulated, &reference)
+}
+
+/// A 9-point box in the x-y plane: the four diagonal neighbours make
+/// every receive slot pair a `dx` with a `dy`.
+fn box9(x: i64, y: i64, z: i64, timesteps: i64) -> StencilProgram {
+    let offsets = (-1..=1).flat_map(|dx| (-1..=1).map(move |dy| (dx, dy)));
+    let expr = Expr::sum(offsets.map(|(dx, dy)| Expr::at("a", dx, dy, 0).scale(0.11)));
+    let program = StencilProgram {
+        name: "box9".into(),
+        frontend: Frontend::Csl,
+        grid: GridSpec::new(x, y, z),
+        fields: vec!["a".into()],
+        equations: vec![StencilEquation::new("a", expr)],
+        timesteps,
+        source: String::new(),
+    };
+    program.validate().expect("box9 program is valid");
+    program
+}
+
+/// Final state of `loaded` on exactly `bands` row bands.
+fn state_on_bands(loaded: &LoadedProgram, bands: usize) -> GridState {
+    let mut sim = WseGridSim::with_options(loaded.clone(), LinkOptions::default()).expect("links");
+    assert!(
+        !sim.linked().kernels.iter().any(|k| k.comm.as_ref().is_some_and(|c| c.capture)),
+        "every kernel must take the capture-elided path the band wavefront serves"
+    );
+    sim.set_threads(bands);
+    sim.run(None).expect("simulation succeeds");
+    sim.grid_state().expect("state extraction succeeds")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The pooled band wavefront against single-threaded execution, with
+    /// the band count drawn from `1..=height + 1`: bands wider than, equal
+    /// to and narrower than `2 * max_dy` (an empty commit window), one-row
+    /// bands, and more bands than rows all occur, over radius-1 and
+    /// radius-4 stars, a box with diagonal offsets, and the two-kernel
+    /// programs.
+    #[test]
+    fn pooled_wavefront_is_bitwise_equal_to_serial_for_any_band_count(
+        shape in 0usize..5,
+        height in 5i64..17,
+        pick in 0usize..1000,
+        chunks in 1i64..3,
+    ) {
+        let program = match shape {
+            0 => jacobian(5, height, 8, 3),
+            1 => seismic_25pt(5, height, 8, 2),
+            2 => box9(5, height, 8, 3),
+            3 => acoustic(5, height, 8, 3),
+            _ => uvkbe(5, height, 8, 2),
+        };
+        let options = PipelineOptions { num_chunks: chunks, ..PipelineOptions::default() };
+        let lowered = lower_program(&program, &options).expect("lowering succeeds");
+        let loaded = load_program(&lowered.ctx, lowered.module).expect("loading succeeds");
+        let bands = 1 + pick % (height as usize + 1);
+        let difference =
+            bitwise_difference(&state_on_bands(&loaded, 1), &state_on_bands(&loaded, bands));
+        prop_assert!(
+            difference.is_none(),
+            "{} height={height} bands={bands} chunks={chunks}: {difference:?}",
+            program.name
+        );
+    }
 }
 
 proptest! {
