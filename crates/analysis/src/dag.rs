@@ -23,7 +23,7 @@
 //! ROADMAP item this substrate serves) may only reorder events with no
 //! path between them.
 
-use wse_sim::link::{FusedInit, LinkedInstr, LinkedKernel, LinkedProgram, LinkedView, SrcRef};
+use wse_sim::link::{FusedInit, LinkedInstr, LinkedProgram, SrcRef};
 
 /// What a graph node represents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,20 +133,9 @@ pub struct DepGraph {
     pub edges: Vec<DepEdge>,
 }
 
-fn overlaps(a: (usize, usize), b: (usize, usize)) -> bool {
+/// Whether two half-open arena intervals share an element.
+pub(crate) fn overlaps(a: (usize, usize), b: (usize, usize)) -> bool {
     a.0 < b.1 && b.0 < a.1
-}
-
-/// The arena span a view may touch across all chunks.
-fn span(view: &LinkedView, max_dyn: usize) -> (usize, usize) {
-    let start = view.base as usize;
-    let extra = if view.dynamic { max_dyn } else { 0 };
-    (start, start + view.len as usize + extra)
-}
-
-/// Furthest chunk shift of a kernel's dynamic views.
-pub(crate) fn max_dyn_of(kernel: &LinkedKernel) -> usize {
-    kernel.comm.as_ref().map(|c| (c.num_chunks.saturating_sub(1)) * c.chunk_size).unwrap_or(0)
 }
 
 fn instr_name(instr: &LinkedInstr) -> &'static str {
@@ -170,32 +159,32 @@ fn instr_node(
     let mut halo = false;
     let write;
     match instr {
-        LinkedInstr::Fill { dest, .. } => write = Some(span(dest, max_dyn)),
+        LinkedInstr::Fill { dest, .. } => write = Some(dest.span(max_dyn)),
         LinkedInstr::Copy { dest, src } => {
-            reads.push(span(src, max_dyn));
-            write = Some(span(dest, max_dyn));
+            reads.push(src.span(max_dyn));
+            write = Some(dest.span(max_dyn));
         }
         LinkedInstr::Binary { dest, a, b, .. } => {
-            reads.push(span(a, max_dyn));
-            reads.push(span(b, max_dyn));
-            write = Some(span(dest, max_dyn));
+            reads.push(a.span(max_dyn));
+            reads.push(b.span(max_dyn));
+            write = Some(dest.span(max_dyn));
         }
         LinkedInstr::Macs { dest, acc, src, .. } => {
-            reads.push(span(acc, max_dyn));
-            reads.push(span(src, max_dyn));
-            write = Some(span(dest, max_dyn));
+            reads.push(acc.span(max_dyn));
+            reads.push(src.span(max_dyn));
+            write = Some(dest.span(max_dyn));
         }
         LinkedInstr::FusedMacs { dest, init, terms } => {
             if let FusedInit::Acc(acc) = init {
-                reads.push(span(acc, max_dyn));
+                reads.push(acc.span(max_dyn));
             }
             for term in terms {
                 match &term.src {
-                    SrcRef::Arena(view) => reads.push(span(view, max_dyn)),
+                    SrcRef::Arena(view) => reads.push(view.span(max_dyn)),
                     SrcRef::Slot { .. } => halo = true,
                 }
             }
-            write = Some(span(dest, max_dyn));
+            write = Some(dest.span(max_dyn));
         }
     }
     let phase = match block {
@@ -226,7 +215,7 @@ impl DepGraph {
         let mut halo_edges: Vec<DepEdge> = Vec::new();
 
         for (k, kernel) in linked.kernels.iter().enumerate() {
-            let max_dyn = max_dyn_of(kernel);
+            let max_dyn = kernel.max_dyn();
             let snap = kernel.comm.as_ref().filter(|c| c.capture).map(|comm| {
                 let reads = comm
                     .snap_fields

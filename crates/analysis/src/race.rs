@@ -28,26 +28,8 @@
 
 use wse_sim::link::{LinkedComm, LinkedInstr, LinkedProgram, SrcRef};
 
-use crate::dag::max_dyn_of;
+use crate::dag::overlaps;
 use crate::Finding;
-
-fn overlaps(a: (usize, usize), b: (usize, usize)) -> bool {
-    a.0 < b.1 && b.0 < a.1
-}
-
-/// The arena interval an instruction writes, widened across chunks.
-fn write_span(instr: &LinkedInstr, max_dyn: usize) -> (usize, usize) {
-    let dest = match instr {
-        LinkedInstr::Fill { dest, .. }
-        | LinkedInstr::Copy { dest, .. }
-        | LinkedInstr::Binary { dest, .. }
-        | LinkedInstr::Macs { dest, .. }
-        | LinkedInstr::FusedMacs { dest, .. } => dest,
-    };
-    let start = dest.base as usize;
-    let extra = if dest.dynamic { max_dyn } else { 0 };
-    (start, start + dest.len as usize + extra)
-}
 
 fn snapped_ranges(comm: &LinkedComm) -> Vec<(usize, usize)> {
     comm.snap_fields.iter().map(|f| (f.src_base, f.src_base + f.copy_len)).collect()
@@ -58,7 +40,7 @@ pub fn check_stream(linked: &LinkedProgram) -> Vec<Finding> {
     let mut findings = Vec::new();
     for (k, kernel) in linked.kernels.iter().enumerate() {
         let Some(comm) = &kernel.comm else { continue };
-        let max_dyn = max_dyn_of(kernel);
+        let max_dyn = kernel.max_dyn();
         let snapped = snapped_ranges(comm);
         let sweep_blocks = [("pre", &kernel.pre), ("recv", &kernel.recv), ("done", &kernel.done)];
 
@@ -66,7 +48,7 @@ pub fn check_stream(linked: &LinkedProgram) -> Vec<Finding> {
         let mut sweep_touches_snapped = false;
         for (phase, instrs) in sweep_blocks {
             for (i, instr) in instrs.iter().enumerate() {
-                let w = write_span(instr, max_dyn);
+                let w = instr.dest().span(max_dyn);
                 let Some(range) = snapped.iter().find(|&&r| overlaps(w, r)) else { continue };
                 sweep_touches_snapped = true;
                 if !comm.capture {

@@ -12,38 +12,45 @@
 //! single reusable scratch buffer preserves the read-all-then-write
 //! semantics of aliasing destination/source views).
 //!
-//! Execution proceeds in lock-step macro steps, matching the real machine:
-//! per timestep and per kernel, the interior columns that the halo
-//! exchange actually communicates are snapshotted (cross-PE reads must
-//! observe the pre-kernel state; columns are transmitted before any PE
-//! overwrites its output buffer), then every PE runs its kernel body, its
-//! per-chunk receive callback against the staged neighbor columns, and its
-//! done-exchange callback.  Kernels without communication skip the
-//! snapshot entirely.
+//! Execution proceeds in lock-step macro steps, matching the real machine.
+//! Per timestep, every kernel runs the same single sequence
+//! (`WseGridSim::run_kernel`):
 //!
-//! A cross-PE read observes only pre-kernel state: either the immutable
-//! snapshot, or — when the optimizer elided the capture, which it does for
-//! every compiled paper program — the neighbor's live arena column, whose
-//! write-back the kernel defers to a *commit* that lags the sweep by
-//! [`LinkedComm::max_dy`] rows.  Either way the per-PE sweep is
-//! embarrassingly parallel: large grids are split into row bands executed
-//! by a persistent [`WorkerPool`] owned by the simulator (created lazily
-//! the first time a kernel's work exceeds [`PARALLEL_WORK_THRESHOLD`], one
-//! dispatch and one acknowledgement barrier per kernel).  A capture-elided
-//! kernel runs as a *banded commit wavefront*: each band sweeps its rows
-//! top to bottom and commits, right behind the sweep, the rows no other
-//! band can read (those at least `max_dy` rows from a neighbouring band);
-//! after the barrier the dispatcher commits the at most
-//! `2 * max_dy * (bands - 1)` edge rows.  The single-threaded path is the
-//! same loop with one band spanning the grid.  Each PE's arithmetic is
-//! identical regardless of the band split, so results are deterministic
-//! and bitwise equal to single-threaded execution.  Asynchrony affects
-//! timing only, which is handled by the analytic model in [`crate::perf`].
+//! 1. **Capture** — only when [`LinkedComm::capture`] is set: the interior
+//!    columns the halo exchange transmits are copied, for the whole grid,
+//!    into the snapshot buffer, so cross-PE reads observe the pre-kernel
+//!    state while PEs overwrite their fields.  The optimizer elides the
+//!    capture for every compiled paper program (and for every generated
+//!    program it fully optimizes), so this step is reached only by
+//!    unoptimized streams — the bitwise oracle — and by streams where the
+//!    translation validator reverted the elision.  It is deliberately
+//!    untuned: one region sized to the largest kernel, recaptured in full.
+//! 2. **Delivery check** — only under recovery with verification, for
+//!    capturing kernels: the snapshot is checksummed on both sides of any
+//!    planned delivery fault.
+//! 3. **Bands** — the grid's rows are split into bands, and each band runs
+//!    `KernelCtx::run_band`: row by row, op-major (every planned op sweeps
+//!    all PEs of the row through a row-batched kernel before the next op
+//!    runs), with staged receive windows copied in ahead of each chunk's
+//!    receive ops.  Small kernels run one band spanning the grid on the
+//!    calling thread; once a kernel's work exceeds
+//!    [`PARALLEL_WORK_THRESHOLD`] the bands go to a persistent
+//!    [`WorkerPool`] (created lazily, one dispatch and one acknowledgement
+//!    barrier per kernel).
+//! 4. **Edge commits** — see below.
 //!
-//! Snapshots are *incremental*: each kernel owns a region of the snapshot
-//! buffer, and a field column is only re-captured when its backing buffer
-//! was written since the previous capture (tracked per buffer with write
-//! epochs from [`crate::link::LinkedKernel::writes`]).
+//! A cross-PE read observes only pre-kernel state: the snapshot, or — when
+//! the capture is elided — the neighbor's live arena column, whose
+//! write-back the kernel defers to a *commit* block that lags the sweep by
+//! [`LinkedComm::max_dy`] rows.  Such a kernel runs as a *banded commit
+//! wavefront*: each band sweeps its rows top to bottom and commits, right
+//! behind the sweep, the rows no other band can read (those at least
+//! `max_dy` rows from a neighbouring band); after the barrier the
+//! dispatcher commits the at most `2 * max_dy * (bands - 1)` edge rows.
+//! Each PE's arithmetic is identical regardless of the band split, so
+//! results are deterministic and bitwise equal for any thread count.
+//! Asynchrony affects timing only, which is handled by the analytic model
+//! in [`crate::perf`].
 
 use std::ops::Range;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -51,10 +58,10 @@ use std::time::{Duration, Instant};
 
 use crate::checkpoint::{checksum_f32, row_checksums, Checkpoint, RecoveryOptions, RecoveryStats};
 use crate::fault::{FaultKind, FaultOptions, FaultPlan, INJECTED_BAND_PANIC};
-use crate::kernels::{BatchTerm, Term, MAX_ARITY};
+use crate::kernels::{BatchTerm, MAX_ARITY};
 use crate::link::{
     link_program_with, FusedInit, FusedTerm, LinkOptions, LinkedComm, LinkedKernel, LinkedProgram,
-    LinkedView, SrcRef,
+    LinkedSlot, LinkedView, SrcRef,
 };
 use crate::loader::LoadedProgram;
 use crate::plan::{plan_program, KernelPlan, PlannedOp, ProgramPlan, SweepGroup};
@@ -174,22 +181,11 @@ pub struct WseGridSim {
     /// All PE arenas back to back; PE `(x, y)` owns
     /// `[(y * width + x) * arena_len ..][.. arena_len]`.
     arenas: Vec<f32>,
-    /// Snapshot of communicated interior columns.  Each kernel owns its
-    /// region so captures stay valid across kernels: PE `pe`'s column `f`
-    /// of kernel `k` lives at
-    /// `pe * snap_stride + snap_bases[k] + f * col_len`.
+    /// Snapshot of the running kernel's transmitted interior columns,
+    /// sized to the largest capturing kernel and recaptured in full by
+    /// each one: PE `pe`'s column `f` lives at
+    /// `pe * comm.snap_len() + f * comm.col_len`.
     snapshot: Vec<f32>,
-    /// Per-kernel base offset into a PE's snapshot region.
-    snap_bases: Vec<usize>,
-    /// Snapshot elements per PE (sum over kernels).
-    snap_stride: usize,
-    /// Epoch of the last write to each buffer (index = `BufferId`).
-    buffer_epochs: Vec<u64>,
-    /// Per kernel, per snapshot field: the buffer epoch the capture was
-    /// taken at (`u64::MAX` = never captured).
-    snap_epochs: Vec<Vec<u64>>,
-    /// Monotonic write epoch, bumped after every kernel execution.
-    write_epoch: u64,
     /// Scratch for aliasing-safe elementwise instructions (serial path).
     scratch: Vec<f32>,
     /// Zero column backing direct slot reads outside the PE grid (sized to
@@ -211,8 +207,11 @@ pub struct WseGridSim {
     /// Checkpoint/checksum recovery state; `None` runs the historical
     /// fast path with zero overhead.
     recovery: Option<RecoveryState>,
-    /// Watchdog deadline for parallel sweeps.
-    watchdog: Duration,
+    /// The recovery configuration in force while none was enabled
+    /// explicitly: its watchdog bounds parallel sweeps, and a fault
+    /// campaign auto-enables recovery with it.  The defaults, or the
+    /// `WSE_SIM_*` overrides when built by [`WseGridSim::new`].
+    recovery_defaults: RecoveryOptions,
     /// Set when grid state was lost to a failure (band panic, watchdog
     /// quarantine, exhausted rollback budget) and not restored since.
     poisoned: bool,
@@ -237,11 +236,6 @@ impl Clone for WseGridSim {
             plan: self.plan.clone(),
             arenas: self.arenas.clone(),
             snapshot: self.snapshot.clone(),
-            snap_bases: self.snap_bases.clone(),
-            snap_stride: self.snap_stride,
-            buffer_epochs: self.buffer_epochs.clone(),
-            snap_epochs: self.snap_epochs.clone(),
-            write_epoch: self.write_epoch,
             scratch: self.scratch.clone(),
             zero_col: self.zero_col.clone(),
             threads: self.threads,
@@ -253,28 +247,39 @@ impl Clone for WseGridSim {
             fault_options: self.fault_options,
             fault: self.fault.clone(),
             recovery: self.recovery.clone(),
-            watchdog: self.watchdog,
+            recovery_defaults: self.recovery_defaults,
             poisoned: self.poisoned,
         }
     }
 }
 
 impl WseGridSim {
-    /// Links the program with [`LinkOptions::from_env`] and creates the
-    /// grid, allocating every PE's arena and filling the field buffers
-    /// with the shared initial condition.
+    /// The environment-configured constructor — the only place the engine
+    /// reads `WSE_SIM_*` variables: links the program with
+    /// [`LinkOptions::from_env`], arms a `WSE_SIM_FAULTS` campaign
+    /// ([`FaultOptions::from_env`]) and takes the recovery defaults from
+    /// [`RecoveryOptions::from_env`].
     ///
     /// # Errors
-    /// Returns an [`ExecError`] when linking fails (unknown or duplicate
-    /// buffers, out-of-bounds views, malformed exchanges); see
-    /// [`crate::link`].
+    /// Returns an [`ExecError`] when `WSE_SIM_FAULTS` is malformed (a
+    /// typed construction error, never a silently clean run) or linking
+    /// fails (unknown or duplicate buffers, out-of-bounds views, malformed
+    /// exchanges); see [`crate::link`].
     pub fn new(program: LoadedProgram) -> Result<Self, ExecError> {
-        Self::with_options(program, LinkOptions::from_env())
+        let fault_options = FaultOptions::from_env()?;
+        let mut sim = Self::with_options(program, LinkOptions::from_env())?;
+        sim.fault_options = fault_options;
+        sim.recovery_defaults = RecoveryOptions::from_env();
+        Ok(sim)
     }
 
     /// Links the program with explicit [`LinkOptions`] and creates the
-    /// grid.  Optimized and unoptimized streams produce bitwise identical
-    /// results; the conformance harness runs both to prove it.
+    /// grid, allocating every PE's arena and filling the field buffers
+    /// with the shared initial condition.  Hermetic: no environment
+    /// variable is read — no fault campaign is armed and the recovery
+    /// defaults are [`RecoveryOptions::default`].  Optimized and
+    /// unoptimized streams produce bitwise identical results; the
+    /// conformance harness runs both to prove it.
     ///
     /// # Errors
     /// Returns an [`ExecError`] when linking fails; see [`WseGridSim::new`].
@@ -297,51 +302,27 @@ impl WseGridSim {
                 }
             }
         }
-        let mut snap_bases = Vec::with_capacity(linked.kernels.len());
-        let mut snap_stride = 0usize;
-        let mut snap_epochs = Vec::with_capacity(linked.kernels.len());
-        for kernel in &linked.kernels {
-            snap_bases.push(snap_stride);
-            match &kernel.comm {
-                Some(comm) => {
-                    snap_stride += comm.snap_len();
-                    snap_epochs.push(vec![u64::MAX; comm.snap_fields.len()]);
-                }
-                None => snap_epochs.push(Vec::new()),
-            }
-        }
-        let snapshot = vec![0.0f32; n_pes * snap_stride];
-        let buffer_epochs = vec![0u64; linked.layouts.len()];
+        let comms = || linked.kernels.iter().filter_map(|k| k.comm.as_ref());
+        let snapshot = vec![0.0f32; n_pes * comms().map(LinkedComm::snap_len).max().unwrap_or(0)];
         let scratch = vec![0.0f32; linked.max_view_len];
-        let max_col_len =
-            linked.kernels.iter().filter_map(|k| k.comm.as_ref()).map(|c| c.col_len).max();
-        let zero_col = vec![0.0f32; max_col_len.unwrap_or(0)];
+        let zero_col = vec![0.0f32; comms().map(|c| c.col_len).max().unwrap_or(0)];
         let hw_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        // A malformed WSE_SIM_FAULTS is a typed construction error, never
-        // a silently clean run.
-        let fault_options = FaultOptions::from_env()?;
-        let watchdog = RecoveryOptions::from_env().watchdog();
         Ok(Self {
             program,
             linked: Box::new(linked),
             plan: Box::new(plan),
             arenas,
             snapshot,
-            snap_bases,
-            snap_stride,
-            buffer_epochs,
-            snap_epochs,
-            write_epoch: 1,
             scratch,
             zero_col,
             threads: None,
             hw_threads,
             pool: None,
             step: 0,
-            fault_options,
+            fault_options: None,
             fault: None,
             recovery: None,
-            watchdog,
+            recovery_defaults: RecoveryOptions::default(),
             poisoned: false,
         })
     }
@@ -387,10 +368,10 @@ impl WseGridSim {
         Checkpoint::capture(&self.arenas, self.step, None)
     }
 
-    /// Restores a checkpoint: arenas bitwise, step counter, and all
-    /// snapshot/epoch bookkeeping reset to the fresh-construction state,
-    /// so a replay from the checkpoint is bitwise identical to an
-    /// uninterrupted run.  Clears the poisoned flag.
+    /// Restores a checkpoint: arenas bitwise and step counter — the whole
+    /// cross-kernel state (the snapshot is recaptured by every kernel that
+    /// reads it), so a replay from the checkpoint is bitwise identical to
+    /// an uninterrupted run.  Clears the poisoned flag.
     ///
     /// # Errors
     /// [`ExecErrorKind::Invalid`] when the checkpoint was captured from a
@@ -405,14 +386,6 @@ impl WseGridSim {
         }
         checkpoint.restore_into(&mut self.arenas);
         self.step = checkpoint.step();
-        // Reset the incremental-snapshot bookkeeping to the
-        // fresh-construction state: every column recaptures before its
-        // next use, so replay cannot observe pre-restore snapshots.
-        self.write_epoch = 1;
-        self.buffer_epochs.iter_mut().for_each(|e| *e = 0);
-        for epochs in &mut self.snap_epochs {
-            epochs.iter_mut().for_each(|e| *e = u64::MAX);
-        }
         self.poisoned = false;
         let row_stride = self.linked.width as usize * self.linked.arena_len;
         if let Some(recovery) = self.recovery.as_mut() {
@@ -451,7 +424,6 @@ impl WseGridSim {
     /// bitwise-transparent (checksums and checkpoints never alter
     /// state).
     pub fn enable_recovery(&mut self, options: RecoveryOptions) {
-        self.watchdog = options.watchdog();
         self.recovery = Some(RecoveryState {
             options,
             checkpoint: None,
@@ -487,7 +459,7 @@ impl WseGridSim {
             // Per-step events are a pure function of (seed, step), so
             // re-materializing over each call's range is equivalent to one
             // plan over the whole campaign.
-            let stall = (self.watchdog.as_millis() as u64).saturating_mul(2).max(1);
+            let stall = (self.watchdog().as_millis() as u64).saturating_mul(2).max(1);
             self.fault = Some(FaultPlan::for_range(
                 options,
                 &self.linked,
@@ -501,10 +473,7 @@ impl WseGridSim {
                 // Auto-enabled by a fault campaign: force full per-step
                 // verification — injecting faults without it would invite
                 // exactly the silent divergence recovery exists to prevent.
-                self.enable_recovery(RecoveryOptions {
-                    verify: true,
-                    ..RecoveryOptions::from_env()
-                });
+                self.enable_recovery(RecoveryOptions { verify: true, ..self.recovery_defaults });
             }
             return self.run_recovering(self.step + steps);
         }
@@ -528,6 +497,11 @@ impl WseGridSim {
         }
         self.step += 1;
         Ok(())
+    }
+
+    /// Watchdog deadline for parallel sweeps.
+    fn watchdog(&self) -> Duration {
+        self.recovery.as_ref().map_or(self.recovery_defaults, |r| r.options).watchdog()
     }
 
     fn poisoned_error(&self) -> ExecError {
@@ -692,237 +666,132 @@ impl WseGridSim {
         let step = self.step;
         let kernel_fault =
             self.fault.as_mut().and_then(|f| f.take_kernel_event(step, kernel_index));
-        let watchdog = self.watchdog;
+        let watchdog = self.watchdog();
         let linked = &*self.linked;
         let kernel = &linked.kernels[kernel_index];
         let kplan = &self.plan.kernels[kernel_index];
         let n_pes = (linked.width * linked.height) as usize;
-        let snap_base = self.snap_bases[kernel_index];
-        let snap_stride = self.snap_stride;
-
-        // Which snapshot columns are stale?  Each kernel owns its region of
-        // the snapshot buffer, so a column captured on an earlier macro
-        // step stays valid until its backing buffer is written again — only
-        // stale columns are re-captured.  Kernels whose capture the
-        // optimizer elided (deferred commits) snapshot nothing at all.
-        let mut stale: Vec<usize> = Vec::new();
-        if let Some(comm) = &kernel.comm {
-            if comm.capture {
-                for (f, field) in comm.snap_fields.iter().enumerate() {
-                    let epoch = self.buffer_epochs[field.buffer.0 as usize];
-                    if self.snap_epochs[kernel_index][f] != epoch {
-                        self.snap_epochs[kernel_index][f] = epoch;
-                        stale.push(f);
-                    }
-                }
-            }
-        }
-
         let height = linked.height as usize;
+        let row_stride = linked.width as usize * linked.arena_len;
+        if row_stride == 0 {
+            return Ok(());
+        }
         let bands = match self.threads {
             Some(n) => n.min(height).max(1),
             None if kernel.work_per_pe.saturating_mul(n_pes) < PARALLEL_WORK_THRESHOLD => 1,
             None => self.hw_threads.min(height).max(1),
         };
-        let row_stride = linked.width as usize * linked.arena_len;
-        // Band and delivery faults fire on the pool path, so a planned
-        // event forces parallel dispatch even below the work threshold
-        // (bitwise identical to serial execution either way).
-        let forced = kernel_fault.is_some();
+        let capturing = kernel.comm.as_ref().filter(|c| c.snap_len() > 0);
 
-        // SAFETY notes on `arenas_ptr`: kernels with an elided capture read
-        // neighbor arena columns through this pointer while the sweep
-        // mutates arena ranges.  Soundness rests on three invariants:
-        // (1) the pointer is the *root* of every arena access on those
-        // paths — the mutable row/band slices are re-derived from it with
-        // `from_raw_parts_mut`, never from a fresh `&mut self.arenas`
-        // borrow that would invalidate it; (2) the byte ranges actually
-        // written by a sweep never overlap the ranges read through the
-        // pointer — the linker proved no sweep instruction writes a
-        // snapshotted buffer (see `link::defer_commits`), and deferred
-        // commits only run once no sweep can observe them; (3) across
-        // bands, a band's in-band commits write transmitted columns only
-        // of rows inside its commit window (see `commit_window`) — rows at
-        // least `max_dy` away from a neighbouring band, which no other
-        // band's sweep can read — and lag its own sweep by `max_dy` rows;
-        // the remaining edge rows are committed by the dispatcher only
-        // after every band has acknowledged.
+        // Capture: the whole grid's transmitted columns, before any PE
+        // overwrites them.  Kernels whose capture the optimizer elided
+        // (deferred commits) snapshot nothing at all.
+        if let Some(comm) = capturing {
+            capture_columns(comm, &self.arenas, linked.arena_len, &mut self.snapshot);
+        }
+        // ABFT delivery integrity: checksum the captured columns ("sent"),
+        // let a planned delivery fault tamper with one, checksum again
+        // ("received"), and refuse to sweep on a mismatch.  Active only
+        // under recovery with verification.
+        let verifying = self.recovery.as_ref().is_some_and(|r| r.options.verify);
+        if let Some(comm) = capturing.filter(|_| verifying) {
+            let captured = &mut self.snapshot[..n_pes * comm.snap_len()];
+            let sent = checksum_f32(captured);
+            let faults = self.recovery.as_mut().map(|r| &mut r.stats.faults);
+            let column = |pe: usize, field: usize| {
+                let start = pe * comm.snap_len() + field * comm.col_len;
+                start..start + comm.col_len
+            };
+            match kernel_fault {
+                Some(FaultKind::DropDelivery { pe, field, .. }) => {
+                    captured[column(pe, field)].fill(0.0);
+                    if let Some(faults) = faults {
+                        faults.drops += 1;
+                    }
+                }
+                Some(FaultKind::DuplicateDelivery { pe, field, .. }) => {
+                    captured[column(pe, field)].rotate_right(1);
+                    if let Some(faults) = faults {
+                        faults.duplicates += 1;
+                    }
+                }
+                _ => {}
+            }
+            if checksum_f32(captured) != sent {
+                return Err(ExecError::new(
+                    ExecErrorKind::Corruption,
+                    format!("halo delivery checksum mismatch in kernel {kernel_index}"),
+                ));
+            }
+        }
+        let band_fault = match kernel_fault {
+            Some(FaultKind::BandPanic { band, .. }) => {
+                if let Some(recovery) = self.recovery.as_mut() {
+                    recovery.stats.faults.band_panics += 1;
+                }
+                Some((band, BandFault::Panic))
+            }
+            Some(FaultKind::BandStall { band, millis, .. }) => {
+                if let Some(recovery) = self.recovery.as_mut() {
+                    recovery.stats.faults.band_stalls += 1;
+                }
+                Some((band, BandFault::Stall(millis)))
+            }
+            _ => None,
+        };
+
+        // SAFETY notes on `arenas_ptr`: slot reads of a capture-elided
+        // kernel (staging copies and sweep sources alike) go to neighbor
+        // arena columns through this pointer while the bands mutate arena
+        // ranges.  Soundness rests on three invariants: (1) the pointer is
+        // the *root* of every arena access of the kernel — the band slices,
+        // on the calling thread and on the pool alike, and the edge-commit
+        // rows are re-derived from it with `from_raw_parts_mut`, never from
+        // a fresh `&mut self.arenas` borrow that would invalidate it;
+        // (2) the byte ranges actually written by a sweep never overlap the
+        // ranges read through the pointer — the linker proved no sweep
+        // instruction writes a snapshotted buffer (see
+        // `link::defer_commits`), and deferred commits only run once no
+        // sweep can observe them; (3) across bands, a band's in-band
+        // commits write transmitted columns only of rows inside its commit
+        // window (see `commit_window`) — rows at least `max_dy` away from a
+        // neighbouring band, which no other band's sweep can read — and lag
+        // its own sweep by `max_dy` rows; the remaining edge rows are
+        // committed by the dispatcher only after every band has
+        // acknowledged.  A capturing kernel reads the snapshot instead and
+        // never dereferences the pointer.
         let arenas_ptr = self.arenas.as_mut_ptr();
         let n_arena_elems = self.arenas.len();
-        let max_dy = kernel.comm.as_ref().map(LinkedComm::max_dy).unwrap_or(0);
-        let direct = kernel.comm.as_ref().is_some_and(|c| !c.capture);
-
-        if row_stride == 0 || (bands <= 1 && !forced) {
-            // Serial path: one band spanning the grid.
-            if stale.is_empty() {
-                // Nothing to capture: every column is still fresh, or the
-                // capture is elided (`direct`) and `run_band` lags the
-                // deferred commits `max_dy` rows behind its sweep.
-                let ctx = KernelCtx::new(
-                    kernel,
-                    kplan,
-                    linked,
-                    &self.snapshot,
-                    (snap_stride, snap_base),
-                    &self.zero_col,
-                    (arenas_ptr, n_arena_elems),
-                );
-                // SAFETY: the band must be a sibling of the `arenas_ptr`
-                // reads a direct sweep performs (see the invariants above),
-                // so it is re-derived from the pointer instead of borrowing
-                // `self.arenas` afresh; it spans exactly the allocation.
-                let all = unsafe { std::slice::from_raw_parts_mut(arenas_ptr, n_arena_elems) };
-                ctx.run_band(all, 0, &mut self.scratch, None);
-            } else {
-                // Interleave snapshot and sweep as a row wavefront.  A PE's
-                // sweep reads snapshot rows up to `max_dy` ahead, so
-                // capturing just ahead of the sweep keeps each arena row
-                // L2-hot across both touches instead of streaming the grid
-                // twice per kernel.  Captured columns are identical either
-                // way, so results stay bitwise equal to the phase-split path.
-                let comm = kernel.comm.as_ref().expect("stale columns imply an exchange");
-                let pass = SnapshotPass { linked, comm, snap_stride, snap_base, stale: &stale };
-                let mut captured = 0usize;
-                for y in 0..height {
-                    let ahead = height.min(y + max_dy + 1);
-                    while captured < ahead {
-                        pass.capture_row(&self.arenas, &mut self.snapshot, captured);
-                        captured += 1;
-                    }
-                    // The context is rebuilt per row so the snapshot borrow
-                    // does not overlap the capture above (rows are
-                    // disjoint; the sweep only reads rows already
-                    // captured).
-                    let ctx = KernelCtx::new(
-                        kernel,
-                        kplan,
-                        linked,
-                        &self.snapshot,
-                        (snap_stride, snap_base),
-                        &self.zero_col,
-                        (arenas_ptr, n_arena_elems),
-                    );
-                    let row = &mut self.arenas[y * row_stride..][..row_stride];
-                    ctx.run_band(row, y as i64, &mut self.scratch, None);
-                }
-            }
+        // Boxed so the watchdog path can leak it: a stalled worker keeps
+        // reading the context past the timeout (see `quarantine`).
+        let ctx = Box::new(KernelCtx::new(
+            kernel,
+            kplan,
+            linked,
+            &self.snapshot,
+            &self.zero_col,
+            arenas_ptr,
+            n_arena_elems,
+        ));
+        // SAFETY: invariant (1) above; the slice spans exactly the
+        // allocation.
+        let all = unsafe { std::slice::from_raw_parts_mut(arenas_ptr, n_arena_elems) };
+        // Band and delivery faults fire on the pool, so a planned event
+        // forces a dispatch even for one band (bitwise identical to running
+        // it on the calling thread).
+        let rows_per_band = height.div_ceil(bands);
+        if bands == 1 && kernel_fault.is_none() {
+            ctx.run_band(all, 0, &mut self.scratch, None);
         } else {
-            // Parallel path: capture the full snapshot, then fan the sweep
-            // out over the persistent worker pool (created on first use,
-            // reused for every subsequent macro step).  With an elided
-            // capture the sweep reads live arenas instead: each band commits
-            // its own window behind its sweep, and the blocking dispatch
-            // doubles as the barrier before the edge-row commits.
-            if let Some(comm) = &kernel.comm {
-                if !stale.is_empty() {
-                    let pass = SnapshotPass { linked, comm, snap_stride, snap_base, stale: &stale };
-                    for y in 0..height {
-                        pass.capture_row(&self.arenas, &mut self.snapshot, y);
-                    }
-                }
-            }
-            // ABFT delivery integrity: checksum the kernel's snapshot
-            // region ("sent"), let a planned delivery fault tamper with a
-            // column, checksum again ("received"), and refuse to sweep on
-            // a mismatch.  Active only under recovery with verification,
-            // and only for kernels that actually capture halo columns.
-            let verify_deliveries = self.recovery.as_ref().is_some_and(|r| r.options.verify)
-                && kernel.comm.as_ref().is_some_and(|c| c.capture && !c.snap_fields.is_empty());
-            if verify_deliveries {
-                let comm = kernel.comm.as_ref().expect("verified deliveries imply an exchange");
-                let snap_len = comm.snap_len();
-                let sent =
-                    delivery_checksum(&self.snapshot, n_pes, snap_stride, snap_base, snap_len);
-                match kernel_fault {
-                    Some(FaultKind::DropDelivery { pe, field, .. }) => {
-                        let col = &mut self.snapshot
-                            [pe * snap_stride + snap_base + field * comm.col_len..][..comm.col_len];
-                        col.fill(0.0);
-                        if let Some(recovery) = self.recovery.as_mut() {
-                            recovery.stats.faults.drops += 1;
-                        }
-                    }
-                    Some(FaultKind::DuplicateDelivery { pe, field, .. }) => {
-                        let col = &mut self.snapshot
-                            [pe * snap_stride + snap_base + field * comm.col_len..][..comm.col_len];
-                        col.rotate_right(1);
-                        if let Some(recovery) = self.recovery.as_mut() {
-                            recovery.stats.faults.duplicates += 1;
-                        }
-                    }
-                    _ => {}
-                }
-                let received =
-                    delivery_checksum(&self.snapshot, n_pes, snap_stride, snap_base, snap_len);
-                if received != sent {
-                    return Err(ExecError::new(
-                        ExecErrorKind::Corruption,
-                        format!("halo delivery checksum mismatch in kernel {kernel_index}"),
-                    ));
-                }
-            }
-            let band_fault = match kernel_fault {
-                Some(FaultKind::BandPanic { band, .. }) => {
-                    if let Some(recovery) = self.recovery.as_mut() {
-                        recovery.stats.faults.band_panics += 1;
-                    }
-                    Some((band, BandFault::Panic))
-                }
-                Some(FaultKind::BandStall { band, millis, .. }) => {
-                    if let Some(recovery) = self.recovery.as_mut() {
-                        recovery.stats.faults.band_stalls += 1;
-                    }
-                    Some((band, BandFault::Stall(millis)))
-                }
-                _ => None,
-            };
-            // Boxed so the watchdog path can leak it: a stalled worker
-            // keeps reading the context past the timeout (see
-            // `quarantine`).
-            let ctx = Box::new(KernelCtx::new(
-                kernel,
-                kplan,
-                linked,
-                &self.snapshot,
-                (snap_stride, snap_base),
-                &self.zero_col,
-                (arenas_ptr, n_arena_elems),
-            ));
-            let rows_per_band = height.div_ceil(bands);
-            let scratch_len = linked.max_view_len;
-            let workers = self.hw_threads.max(1);
+            let (workers, scratch_len) = (self.hw_threads.max(1), linked.max_view_len);
             let pool = self.pool.get_or_insert_with(|| WorkerPool::new(workers, scratch_len));
-            let band_result = if direct {
-                // SAFETY: the bands must be siblings of the `arenas_ptr`
-                // reads the workers perform (see the invariants above), so
-                // the band slice is re-derived from the pointer instead of
-                // borrowing `self.arenas` afresh.
-                let all = unsafe { std::slice::from_raw_parts_mut(arenas_ptr, n_arena_elems) };
-                pool.run_bands(
-                    &ctx,
-                    all,
-                    rows_per_band * row_stride,
-                    rows_per_band,
-                    watchdog,
-                    band_fault,
-                )
-            } else {
-                pool.run_bands(
-                    &ctx,
-                    &mut self.arenas,
-                    rows_per_band * row_stride,
-                    rows_per_band,
-                    watchdog,
-                    band_fault,
-                )
-            };
-            match band_result {
+            let band_elems = rows_per_band * row_stride;
+            match pool.run_bands(&ctx, all, band_elems, rows_per_band, watchdog, band_fault) {
                 Ok(()) => {}
                 Err(BandError::Panicked(detail)) => {
                     // Every band acknowledged (the panic was caught), so no
                     // worker holds pointers into the engine — but the sweep
                     // is partially written.
-                    drop(ctx);
                     self.poisoned = true;
                     return Err(ExecError::new(
                         ExecErrorKind::BandPanicked,
@@ -945,28 +814,21 @@ impl WseGridSim {
                     ));
                 }
             }
-            if !kernel.commit.is_empty() {
-                // Edge pass: every sweep has completed (run_bands blocks),
-                // so the rows within `max_dy` of a band boundary — the only
-                // ones the bands left uncommitted — can no longer be
-                // observed mid-kernel.
-                for first in (0..height).step_by(rows_per_band) {
-                    let end = height.min(first + rows_per_band);
-                    let window = commit_window(first..end, height, max_dy);
-                    for edge in [first..window.start, window.end..end] {
-                        let pes = edge.start * row_stride..edge.end * row_stride;
-                        ctx.commit_row(&mut self.arenas[pes], &mut self.scratch);
-                    }
+        }
+        if !kernel.commit.is_empty() {
+            // Edge pass: every band has completed, so the rows within
+            // `max_dy` of a band boundary — the only ones the bands left
+            // uncommitted (none at all for a single band) — can no longer
+            // be observed mid-kernel.
+            for first in (0..height).step_by(rows_per_band) {
+                let end = height.min(first + rows_per_band);
+                let window = commit_window(first..end, height, ctx.max_dy);
+                for edge in [first..window.start, window.end..end] {
+                    let rows = &mut all[edge.start * row_stride..edge.end * row_stride];
+                    ctx.commit_rows(rows, edge.start, &mut self.scratch);
                 }
             }
         }
-
-        // Stage 3: record which buffers the kernel wrote, invalidating the
-        // snapshots that depend on them.
-        for id in &kernel.writes {
-            self.buffer_epochs[id.0 as usize] = self.write_epoch;
-        }
-        self.write_epoch += 1;
         Ok(())
     }
 
@@ -1025,53 +887,18 @@ impl WseGridSim {
     }
 }
 
-/// One kernel's snapshot capture, restricted to the stale columns.
-struct SnapshotPass<'a> {
-    linked: &'a LinkedProgram,
-    comm: &'a LinkedComm,
-    snap_stride: usize,
-    snap_base: usize,
-    /// Indices into `comm.snap_fields` that must be re-captured.
-    stale: &'a [usize],
-}
-
-impl SnapshotPass<'_> {
-    /// Captures the stale columns of every PE in row `y`.
-    fn capture_row(&self, arenas: &[f32], snapshot: &mut [f32], y: usize) {
-        let linked = self.linked;
-        let width = linked.width as usize;
-        for x in 0..width {
-            let pe = y * width + x;
-            let arena = &arenas[pe * linked.arena_len..][..linked.arena_len];
-            for &f in self.stale {
-                let field = &self.comm.snap_fields[f];
-                let col = &mut snapshot
-                    [pe * self.snap_stride + self.snap_base + f * self.comm.col_len..]
-                    [..self.comm.col_len];
-                col[..field.copy_len].copy_from_slice(&arena[field.src_base..][..field.copy_len]);
-                col[field.copy_len..].fill(0.0);
-            }
+/// Copies every transmitted interior column of every PE into `snapshot`
+/// (PE `pe`'s column `f` at `pe * comm.snap_len() + f * comm.col_len`),
+/// zero-filling past the end of a short field buffer.
+fn capture_columns(comm: &LinkedComm, arenas: &[f32], arena_len: usize, snapshot: &mut [f32]) {
+    let captured = snapshot.chunks_exact_mut(comm.snap_len());
+    for (arena, region) in arenas.chunks_exact(arena_len).zip(captured) {
+        let cols = region.chunks_exact_mut(comm.col_len);
+        for (field, col) in comm.snap_fields.iter().zip(cols) {
+            col[..field.copy_len].copy_from_slice(&arena[field.src_base..][..field.copy_len]);
+            col[field.copy_len..].fill(0.0);
         }
     }
-}
-
-/// Combined checksum of one kernel's halo snapshot region across all PEs
-/// (per-PE columns folded FNV-style, position-salted), the "sent" and
-/// "received" sides of the ABFT delivery check.
-fn delivery_checksum(
-    snapshot: &[f32],
-    n_pes: usize,
-    snap_stride: usize,
-    snap_base: usize,
-    snap_len: usize,
-) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for pe in 0..n_pes {
-        let region = &snapshot[pe * snap_stride + snap_base..][..snap_len];
-        h ^= checksum_f32(region).rotate_left((pe % 63) as u32);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Shared read-only context of one kernel sweep (one instance per
@@ -1081,98 +908,97 @@ struct KernelCtx<'a> {
     /// The kernel's planned blocks (what the sweep actually dispatches).
     plan: &'a KernelPlan,
     linked: &'a LinkedProgram,
+    /// The captured columns (unread when the capture is elided).
     snapshot: &'a [f32],
-    /// Snapshot elements per PE (all kernels).
-    snap_stride: usize,
-    /// This kernel's base offset inside a PE's snapshot region.
-    snap_base: usize,
-    /// Zero column for direct slot reads outside the grid.
+    /// Zero column for slot reads outside the grid.
     zero_col: &'a [f32],
     /// Root pointer of the full arena allocation, for neighbor-column
     /// reads when the snapshot capture is elided (the mutable row/band
-    /// slices on those paths are siblings derived from this same
-    /// pointer).  See the SAFETY notes in `run_kernel`: the linker proved
-    /// those columns are never written during the sweep.
+    /// slices are siblings derived from this same pointer).  See the
+    /// SAFETY notes in `run_kernel`: the linker proved those columns are
+    /// never written during the sweep.
     arenas_ptr: *mut f32,
     /// Total arena elements (bounds for the pointer reads).
     n_arena_elems: usize,
-}
-
-/// Direct slot reads ([`SrcRef::Slot`]) for one PE: per receive slot, the
-/// full transmitted column straight from the neighbor's snapshot (the
-/// shared zero column outside the grid).  Resolved once per PE — every
-/// column has exactly [`LinkedComm::col_len`] elements.
-struct PeComm<'a> {
-    cols: &'a [&'a [f32]],
+    /// Arena elements per row of PEs.
+    row_stride: usize,
+    /// The commit lag in rows ([`LinkedComm::max_dy`]; 0 without an
+    /// exchange).
+    max_dy: usize,
 }
 
 impl<'a> KernelCtx<'a> {
-    /// Builds the context of one kernel sweep.  `snap` is
-    /// `(snap_stride, snap_base)` and `arenas` is the root arena pointer
-    /// with its element count (see the SAFETY notes in `run_kernel`).
-    /// The wavefront path rebuilds the context per row so the snapshot
-    /// borrow never overlaps a capture.
+    /// Builds the context of one kernel sweep.  `arenas_ptr` is the root
+    /// arena pointer and `n_arena_elems` its element count (see the SAFETY
+    /// notes in `run_kernel`).
     fn new(
         kernel: &'a LinkedKernel,
         plan: &'a KernelPlan,
         linked: &'a LinkedProgram,
         snapshot: &'a [f32],
-        snap: (usize, usize),
         zero_col: &'a [f32],
-        arenas: (*mut f32, usize),
+        arenas_ptr: *mut f32,
+        n_arena_elems: usize,
     ) -> Self {
         Self {
             kernel,
             plan,
             linked,
             snapshot,
-            snap_stride: snap.0,
-            snap_base: snap.1,
             zero_col,
-            arenas_ptr: arenas.0,
-            n_arena_elems: arenas.1,
+            arenas_ptr,
+            n_arena_elems,
+            row_stride: linked.width as usize * linked.arena_len,
+            max_dy: kernel.comm.as_ref().map(LinkedComm::max_dy).unwrap_or(0),
         }
     }
 
-    /// Resolves the column behind each receive slot of PE `(x, y)`,
-    /// appending to `cols`: the neighbor's snapshot column, or — when the
-    /// capture was elided — the neighbor's live arena column (which still
-    /// holds the pre-kernel state until the deferred commit runs).
-    fn resolve_slot_cols(&self, comm: &LinkedComm, x: i64, y: i64, cols: &mut Vec<&'a [f32]>) {
-        for spec in &comm.slots {
-            let (nx, ny) = (x + spec.dx, y + spec.dy);
-            if nx < 0 || ny < 0 || nx >= self.linked.width || ny >= self.linked.height {
-                cols.push(&self.zero_col[..comm.col_len]);
-                continue;
-            }
-            let neighbor = (ny * self.linked.width + nx) as usize;
-            if comm.capture {
-                cols.push(
-                    &self.snapshot[neighbor * self.snap_stride
-                        + self.snap_base
-                        + spec.snap_index * comm.col_len..][..comm.col_len],
-                );
-            } else {
-                let field = &comm.snap_fields[spec.snap_index];
-                let start = neighbor * self.linked.arena_len + field.src_base;
-                debug_assert!(start + comm.col_len <= self.n_arena_elems);
-                // SAFETY: in-bounds by link-time validation
-                // (`copy_len == col_len` is a deferral precondition), and
-                // never written during the sweep (see `run_kernel`).
-                cols.push(unsafe {
-                    std::slice::from_raw_parts(self.arenas_ptr.add(start), comm.col_len)
-                });
-            }
+    /// The transmitted column behind receive slot `spec` as PE `(x, y)`
+    /// sees it — the one place the zero-column / snapshot-column /
+    /// neighbor-arena-column decision is made.  Returns the column's first
+    /// element ([`LinkedComm::col_len`] readable) and the stride, in
+    /// elements, to the same slot's column of PE `(x + 1, y)` while that
+    /// PE's neighbor is in the grid too: outside the grid it is the shared
+    /// zero column (stride 0, matching the zero-flux boundary of the
+    /// reference executor); with a capture, the neighbor's snapshot column;
+    /// with the capture elided, the neighbor's live arena column, which
+    /// holds the pre-kernel state until the deferred commit runs.
+    fn slot_col(
+        &self,
+        comm: &LinkedComm,
+        spec: &LinkedSlot,
+        x: i64,
+        y: i64,
+    ) -> (*const f32, usize) {
+        let (nx, ny) = (x + spec.dx, y + spec.dy);
+        if nx < 0 || ny < 0 || nx >= self.linked.width || ny >= self.linked.height {
+            debug_assert!(comm.col_len <= self.zero_col.len());
+            return (self.zero_col.as_ptr(), 0);
+        }
+        let neighbor = (ny * self.linked.width + nx) as usize;
+        if comm.capture {
+            let stride = comm.snap_len();
+            let start = neighbor * stride + spec.snap_index * comm.col_len;
+            debug_assert!(start + comm.col_len <= self.snapshot.len());
+            // SAFETY: the snapshot holds `snap_len` elements per PE (sized
+            // at construction, filled by `capture_columns`).
+            (unsafe { self.snapshot.as_ptr().add(start) }, stride)
+        } else {
+            let stride = self.linked.arena_len;
+            let start = neighbor * stride + comm.snap_fields[spec.snap_index].src_base;
+            debug_assert!(start + comm.col_len <= self.n_arena_elems);
+            // SAFETY: in bounds of the arena allocation by link-time
+            // validation (`copy_len == col_len` is a deferral
+            // precondition).
+            (unsafe { self.arenas_ptr.add(start) as *const f32 }, stride)
         }
     }
 
-    /// Runs the deferred commit ops on every PE of `pes` (a contiguous run
-    /// of arenas).
-    fn commit_row(&self, pes: &mut [f32], scratch: &mut [f32]) {
-        for pe in pes.chunks_exact_mut(self.linked.arena_len) {
-            for op in &self.plan.commit {
-                exec_op(pe, op, 0, scratch, None);
-            }
+    /// Runs the deferred commit ops on the rows of `rows` (a contiguous
+    /// run of whole PE rows starting at grid row `first_row`).
+    fn commit_rows(&self, rows: &mut [f32], first_row: usize, scratch: &mut [f32]) {
+        for (r, row) in rows.chunks_exact_mut(self.row_stride).enumerate() {
+            self.run_ops_row(row, &self.plan.commit, 0, (first_row + r) as i64, scratch);
         }
     }
 }
@@ -1414,17 +1240,9 @@ impl Drop for WorkerPool {
     }
 }
 
-impl<'a> KernelCtx<'a> {
+impl KernelCtx<'_> {
     /// Executes the kernel on every PE of a horizontal band of rows.
     /// `band` is the contiguous arena slice of those rows.
-    ///
-    /// Execution is *instruction-major within a row*: each instruction
-    /// sweeps all PEs of the row before the next instruction runs.  PEs
-    /// are independent within a kernel (cross-PE reads observe only
-    /// pre-kernel state), so any interleaving preserves each PE's own
-    /// operation order — results are bitwise identical to PE-major order —
-    /// while dispatch (instruction match, slot resolution) amortizes over
-    /// the whole row and the row's arenas stay cache-hot.
     ///
     /// Deferred commits (capture-elided kernels) run as a wavefront inside
     /// the band: row `y - max_dy` of the band's [`commit_window`] is
@@ -1441,20 +1259,16 @@ impl<'a> KernelCtx<'a> {
         scratch: &mut [f32],
         fault: Option<BandFault>,
     ) {
-        let row_stride = self.linked.width as usize * self.linked.arena_len;
-        if row_stride == 0 {
-            return;
-        }
+        let row_stride = self.row_stride;
         let first = first_row as usize;
         let rows = band.len() / row_stride;
-        let max_dy = self.kernel.comm.as_ref().map(LinkedComm::max_dy).unwrap_or(0);
+        let max_dy = self.max_dy;
         let window = if self.plan.commit.is_empty() {
             first..first
         } else {
             commit_window(first..first + rows, self.linked.height as usize, max_dy)
         };
         let mut next_commit = window.start;
-        let mut cols: Vec<&[f32]> = Vec::new();
         for r in 0..rows {
             if r == rows / 2 {
                 if let Some(fault) = fault {
@@ -1462,7 +1276,7 @@ impl<'a> KernelCtx<'a> {
                 }
             }
             let y = first + r;
-            self.run_row(&mut band[r * row_stride..][..row_stride], y as i64, scratch, &mut cols);
+            self.run_row(&mut band[r * row_stride..][..row_stride], y as i64, scratch);
             // Row `y - max_dy` is settled once row `y` is swept: the band's
             // own sweep is past it, and no other band's reads the window.
             // After the band's last row the whole window is.
@@ -1470,59 +1284,60 @@ impl<'a> KernelCtx<'a> {
             let settled = settled.min(window.end);
             if next_commit < settled {
                 let pes = (next_commit - first) * row_stride..(settled - first) * row_stride;
-                self.commit_row(&mut band[pes], scratch);
+                self.commit_rows(&mut band[pes], next_commit, scratch);
                 next_commit = settled;
             }
         }
     }
 
-    fn run_row(&self, row: &mut [f32], y: i64, scratch: &mut [f32], cols: &mut Vec<&'a [f32]>) {
-        let comm = self.kernel.comm.as_ref();
-        let any_staged = comm.is_some_and(|c| c.slots.iter().any(|s| s.staged));
-        if !any_staged {
-            // Op-major fast path: nothing writes the receive buffer, so
-            // each planned op can sweep the whole row before the next op
-            // runs.  Sweeps then dispatch once per row segment (see
-            // `run_sweep_row`) instead of once per PE, and no per-PE slot
-            // columns are resolved at all.
-            self.run_ops_row(row, &self.plan.pre, 0, y, scratch);
-            if let Some(comm) = comm {
-                for chunk in 0..comm.num_chunks {
-                    self.run_ops_row(row, &self.plan.recv, chunk * comm.chunk_size, y, scratch);
-                }
-            }
-            self.run_ops_row(row, &self.plan.done, 0, y, scratch);
-            return;
-        }
-        let arena_len = self.linked.arena_len;
-        let comm = comm.expect("staged slots imply an exchange");
-        for (x, pe) in row.chunks_exact_mut(arena_len).enumerate() {
-            cols.clear();
-            self.resolve_slot_cols(comm, x as i64, y, cols);
-            let pec = PeComm { cols };
-            let pec = Some(&pec);
-            for op in &self.plan.pre {
-                exec_op(pe, op, 0, scratch, pec);
-            }
+    /// Executes the kernel's sweep phase on one row of PEs: the body, then
+    /// per chunk the staged receive windows followed by the receive
+    /// callback, then the done-exchange callback.
+    ///
+    /// Execution is *op-major*: each planned op (and each chunk's staging
+    /// copy) sweeps all PEs of the row before the next one runs.  PEs are
+    /// independent within a kernel — cross-PE reads observe only pre-kernel
+    /// state (the snapshot, or live arenas whose transmitted columns no
+    /// sweep writes), and staging writes only the PE's own receive buffer —
+    /// so this preserves each PE's own operation order and is bitwise
+    /// identical to running the PEs one after another, while dispatch
+    /// (instruction match, slot resolution) amortizes over the whole row
+    /// and the row's arenas stay cache-hot.
+    fn run_row(&self, row: &mut [f32], y: i64, scratch: &mut [f32]) {
+        self.run_ops_row(row, &self.plan.pre, 0, y, scratch);
+        if let Some(comm) = &self.kernel.comm {
             for chunk in 0..comm.num_chunks {
-                stage_chunk(comm, pe, pec, chunk);
                 let chunk_offset = chunk * comm.chunk_size;
-                for op in &self.plan.recv {
-                    exec_op(pe, op, chunk_offset, scratch, pec);
-                }
+                self.stage_row(comm, row, chunk_offset, y);
+                self.run_ops_row(row, &self.plan.recv, chunk_offset, y, scratch);
             }
-            for op in &self.plan.done {
-                exec_op(pe, op, 0, scratch, pec);
+        }
+        self.run_ops_row(row, &self.plan.done, 0, y, scratch);
+    }
+
+    /// Fills every PE's receive buffer with the chunk at `chunk_offset` of
+    /// each slot the optimizer could not elide (none, for a fully
+    /// optimized stream).
+    fn stage_row(&self, comm: &LinkedComm, row: &mut [f32], chunk_offset: usize, y: i64) {
+        debug_assert!(chunk_offset + comm.chunk_size <= comm.col_len);
+        for (slot, spec) in comm.slots.iter().enumerate().filter(|(_, s)| s.staged) {
+            let window = comm.recv_base + slot * comm.chunk_size;
+            for (x, pe) in row.chunks_exact_mut(self.linked.arena_len).enumerate() {
+                let (col, _) = self.slot_col(comm, spec, x as i64, y);
+                // SAFETY: the column holds `col_len` readable elements (see
+                // `slot_col`) and lives in the snapshot, the zero column or
+                // a transmitted field column no sweep writes (see
+                // `run_kernel`) — never in this PE's receive buffer.
+                let src =
+                    unsafe { std::slice::from_raw_parts(col.add(chunk_offset), comm.chunk_size) };
+                pe[window..][..comm.chunk_size].copy_from_slice(src);
             }
         }
     }
 
-    /// Runs one planned block over every PE of a row, op-major.  PEs are
-    /// independent within a kernel — cross-PE reads observe only pre-kernel
-    /// state (the snapshot, or live arenas whose transmitted columns no
-    /// sweep writes) — so op-major order is bitwise identical to PE-major
-    /// order.  Sweeps take the row-batched kernel; the remaining op kinds
-    /// never have cross-PE sources and run per PE.
+    /// Runs one planned block over every PE of a row, op-major (see
+    /// `run_row`).  Sweeps take the row-batched kernel; the remaining op
+    /// kinds never have cross-PE sources and run per PE.
     fn run_ops_row(
         &self,
         row: &mut [f32],
@@ -1537,24 +1352,30 @@ impl<'a> KernelCtx<'a> {
                 self.run_sweep_row(row, dest, init, groups, chunk_offset, y);
             } else {
                 for pe in row.chunks_exact_mut(arena_len) {
-                    exec_op(pe, op, chunk_offset, scratch, None);
+                    exec_op(pe, op, chunk_offset, scratch);
                 }
             }
         }
     }
 
-    /// Executes one planned sweep over every PE of a row through the
-    /// row-batched kernels.  Between adjacent PEs, every pointer of the
-    /// sweep advances by a fixed stride — arena views (and the
-    /// destination) by `arena_len`, captured slot columns by the snapshot
-    /// stride, elided slot columns by `arena_len` through the neighbor
-    /// arenas — except where a `dx`-offset neighbor falls outside the
-    /// grid.  The row therefore splits into at most three segments: the
-    /// interior (one batched call per group), and the left/right edge PEs
-    /// whose out-of-grid sources rebind to the shared zero column
-    /// (single-PE batched calls).  `dy`-offset neighbors are out of grid
-    /// for a whole row at a time, which stays uniform: the zero column
-    /// with stride 0.
+    /// Executes one planned reduction sweep over every PE of a row:
+    /// `dest[j] = init(j) + Σ terms[i].coeff · terms[i].src[j]`, applied
+    /// left to right per element — exactly the f32 operation sequence of
+    /// the `Fill`/`Macs` chain the linker fused, so results are bitwise
+    /// identical to the unoptimized stream.  Chains wider than
+    /// [`MAX_ARITY`] run as the head group plus continuation groups
+    /// accumulating onto the freshly written destination (same per-element
+    /// order, re-entered at the stored running value).
+    ///
+    /// Between adjacent PEs, every pointer of the sweep advances by a fixed
+    /// stride — arena views (and the destination) by `arena_len`, slot
+    /// columns by the stride `slot_col` reports — except where a
+    /// `dx`-offset neighbor falls outside the grid.  The row therefore
+    /// splits into at most three segments: the interior (one batched call
+    /// per group), and the left/right edge PEs whose out-of-grid sources
+    /// rebind to the shared zero column (single-PE batched calls).
+    /// `dy`-offset neighbors are out of grid for a whole row at a time,
+    /// which stays uniform: the zero column with stride 0.
     fn run_sweep_row(
         &self,
         row: &mut [f32],
@@ -1574,65 +1395,39 @@ impl<'a> KernelCtx<'a> {
         debug_assert_eq!(row.len(), width as usize * arena_len);
         debug_assert!(dest_range.end <= arena_len);
         let base = row.as_mut_ptr();
-        // SAFETY: per-PE, exactly the `exec_sweep` argument (link-time
-        // bounds validation plus the fusion disjointness proof); across
-        // PEs, a sweep writes only its own PE's destination, which no
-        // other PE's sources can observe — arena sources live in their own
-        // PE's arena, and slot sources read the snapshot or arena columns
-        // the linker proved no sweep writes (see `run_kernel`).
+        // SAFETY: per PE, link-time fusion guarantees every arena term
+        // source view — and any init accumulator distinct from the
+        // destination — is disjoint from the destination range at every
+        // chunk offset, and all views were bounds-validated against the
+        // arena by the linker.  The destination is therefore the only
+        // mutable arena range, and the sole permitted aliasing (`init ==
+        // dest`, or a continuation group's accumulate onto the destination)
+        // reads each element before overwriting it — the kernels' contract.
+        // Across PEs, a sweep writes only its own PE's destination, which
+        // no other PE's sources can observe — arena sources live in their
+        // own PE's arena, and slot sources read the snapshot, the zero
+        // column or arena columns the linker proved no sweep writes (see
+        // `run_kernel`).
         unsafe {
             // Resolves one term for the PE at column `x`: base pointer and
             // the per-PE stride it advances by within a batch segment.
             let resolve = |term: &FusedTerm, x: i64| -> BatchTerm {
-                match &term.src {
+                let (src, stride) = match &term.src {
                     SrcRef::Arena(v) => {
                         let r = v.range(chunk_offset);
                         debug_assert!(r.end <= arena_len);
-                        BatchTerm {
-                            src: base.add(x as usize * arena_len + r.start) as *const f32,
-                            stride: arena_len,
-                            coeff: term.coeff,
-                        }
+                        (base.add(x as usize * arena_len + r.start) as *const f32, arena_len)
                     }
                     SrcRef::Slot { slot, offset, .. } => {
                         let comm =
                             self.kernel.comm.as_ref().expect("slot sources imply an exchange");
-                        let spec = &comm.slots[*slot as usize];
                         let o = *offset as usize + chunk_offset;
                         debug_assert!(o + len <= comm.col_len);
-                        let (nx, ny) = (x + spec.dx, y + spec.dy);
-                        if nx < 0 || ny < 0 || nx >= width || ny >= self.linked.height {
-                            BatchTerm {
-                                src: self.zero_col.as_ptr().add(o),
-                                stride: 0,
-                                coeff: term.coeff,
-                            }
-                        } else {
-                            let neighbor = (ny * width + nx) as usize;
-                            if comm.capture {
-                                let start = neighbor * self.snap_stride
-                                    + self.snap_base
-                                    + spec.snap_index * comm.col_len
-                                    + o;
-                                debug_assert!(start + len <= self.snapshot.len());
-                                BatchTerm {
-                                    src: self.snapshot.as_ptr().add(start),
-                                    stride: self.snap_stride,
-                                    coeff: term.coeff,
-                                }
-                            } else {
-                                let field = &comm.snap_fields[spec.snap_index];
-                                let start = neighbor * arena_len + field.src_base + o;
-                                debug_assert!(start + len <= self.n_arena_elems);
-                                BatchTerm {
-                                    src: self.arenas_ptr.add(start) as *const f32,
-                                    stride: arena_len,
-                                    coeff: term.coeff,
-                                }
-                            }
-                        }
+                        let (col, stride) = self.slot_col(comm, &comm.slots[*slot as usize], x, y);
+                        (col.add(o), stride)
                     }
-                }
+                };
+                BatchTerm { src, stride, coeff: term.coeff }
             };
             let mut first = true;
             for group in groups {
@@ -1692,35 +1487,11 @@ impl<'a> KernelCtx<'a> {
     }
 }
 
-/// Fills the receive buffer with chunk `chunk` of every slot the
-/// optimizer could not elide, from the PE's resolved slot columns (the
-/// neighbor snapshot, or the shared zero column outside the grid —
-/// matching the zero-flux boundary of the reference executor).
-fn stage_chunk(comm: &LinkedComm, pe: &mut [f32], pec: Option<&PeComm<'_>>, chunk: usize) {
-    let start = chunk * comm.chunk_size;
-    let cols = pec.expect("staging requires resolved slot columns").cols;
-    for (slot, spec) in comm.slots.iter().enumerate() {
-        if !spec.staged {
-            continue;
-        }
-        let dst = &mut pe[comm.recv_base + slot * comm.chunk_size..][..comm.chunk_size];
-        dst.copy_from_slice(&cols[slot][start..][..comm.chunk_size]);
-    }
-}
-
-/// Executes one planned operation over a PE arena by calling its bound
-/// SIMD kernel.  `Binary`/`Macs` ops the planner could not prove
-/// in-place-safe compute into `scratch` first (read-all-then-write
-/// semantics for partially overlapping views); direct ops and sweeps write
-/// the destination in one pass.  `pec` resolves direct slot reads and is
-/// present whenever the kernel communicates.
-fn exec_op(
-    pe: &mut [f32],
-    op: &PlannedOp,
-    chunk_offset: usize,
-    scratch: &mut [f32],
-    pec: Option<&PeComm<'_>>,
-) {
+/// Executes one PE-local planned operation over a PE arena.  `Binary` /
+/// `Macs` ops the planner could not prove in-place-safe compute into
+/// `scratch` first (read-all-then-write semantics for partially
+/// overlapping views); direct ops write the destination in one pass.
+fn exec_op(pe: &mut [f32], op: &PlannedOp, chunk_offset: usize, scratch: &mut [f32]) {
     match op {
         PlannedOp::Fill { dest, value } => pe[dest.range(chunk_offset)].fill(*value),
         PlannedOp::Copy { dest, src } => {
@@ -1767,83 +1538,7 @@ fn exec_op(
                 }
             }
         }
-        PlannedOp::Sweep { dest, init, groups } => {
-            exec_sweep(pe, dest, init, groups, chunk_offset, pec);
-        }
-    }
-}
-
-/// Executes a planned reduction sweep:
-/// `dest[j] = init(j) + Σ terms[i].coeff · terms[i].src[j]`, applied left
-/// to right per element — exactly the f32 operation sequence of the
-/// `Fill`/`Macs` chain the linker fused, so results are bitwise identical
-/// to the unoptimized stream.  Chains wider than [`MAX_ARITY`] run as the
-/// head group plus continuation groups accumulating onto the freshly
-/// written destination (same per-element order, re-entered at the stored
-/// running value).
-fn exec_sweep(
-    pe: &mut [f32],
-    dest: &LinkedView,
-    init: &FusedInit,
-    groups: &[SweepGroup],
-    chunk_offset: usize,
-    pec: Option<&PeComm<'_>>,
-) {
-    let dest_range = dest.range(chunk_offset);
-    let len = dest_range.len();
-    if len == 0 {
-        return;
-    }
-    let base = pe.as_mut_ptr();
-    debug_assert!(dest_range.end <= pe.len());
-    // SAFETY: link-time fusion guarantees every arena term source view —
-    // and any init accumulator distinct from the destination — is disjoint
-    // from the destination range at every chunk offset, and all views were
-    // bounds-validated against the arena by the linker.  The destination is
-    // therefore the only mutable arena range, and the sole permitted
-    // aliasing (`init == dest`, or a continuation group's accumulate onto
-    // the destination) reads each element before overwriting it — the
-    // kernels' contract.  Slot sources live in the snapshot (or the shared
-    // zero column), different allocations.
-    unsafe {
-        let d = base.add(dest_range.start);
-        let resolve = |term: &FusedTerm| -> *const f32 {
-            match &term.src {
-                SrcRef::Arena(v) => {
-                    let range = v.range(chunk_offset);
-                    debug_assert!(range.end <= pe.len());
-                    base.add(range.start) as *const f32
-                }
-                SrcRef::Slot { slot, offset, .. } => {
-                    let col =
-                        pec.expect("slot sources only occur in comm kernels").cols[*slot as usize];
-                    let start = *offset as usize + chunk_offset;
-                    debug_assert!(start + len <= col.len());
-                    col.as_ptr().add(start)
-                }
-            }
-        };
-        let (fill, acc): (f32, *const f32) = match init {
-            FusedInit::Fill(c) => (*c, std::ptr::null()),
-            FusedInit::Acc(a) if a == dest => (0.0, d as *const f32),
-            FusedInit::Acc(a) => {
-                let range = a.range(chunk_offset);
-                debug_assert!(range.end <= pe.len());
-                (0.0, base.add(range.start) as *const f32)
-            }
-        };
-        let mut terms = [Term::NULL; MAX_ARITY];
-        let mut first = true;
-        for group in groups {
-            for (slot, term) in terms.iter_mut().zip(group.terms.iter()) {
-                *slot = Term { src: resolve(term), coeff: term.coeff };
-            }
-            // Continuation groups accumulate onto the running value the
-            // previous group stored in the destination.
-            let group_acc = if first { acc } else { d as *const f32 };
-            (group.kernel)(d, len, fill, group_acc, terms.as_ptr());
-            first = false;
-        }
+        PlannedOp::Sweep { .. } => unreachable!("sweeps read across PEs: see `run_sweep_row`"),
     }
 }
 

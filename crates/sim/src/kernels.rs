@@ -6,7 +6,10 @@
 //! from this module — one concrete function per (operation, arity ≤
 //! [`MAX_ARITY`], init kind, instruction set, FMA mode) combination, so
 //! the per-element loop bodies are straight-line vector code with no
-//! per-element branching and no bounds checks.
+//! per-element branching and no bounds checks.  There is one sweep
+//! family: every reduction sweep is *row-batched* ([`SweepRowFn`]), one
+//! call covering a run of consecutive PEs, and a single PE is the
+//! `n_pes = 1` case of the same function.
 //!
 //! # Instruction sets
 //!
@@ -41,37 +44,6 @@
 /// unchanged — see [`crate::plan`]).
 pub const MAX_ARITY: usize = 6;
 
-/// One resolved multiply-accumulate term of a sweep call: a raw source
-/// pointer (arena or snapshot column, `len` elements readable) and its
-/// coefficient.
-#[derive(Debug, Clone, Copy)]
-pub struct Term {
-    /// First source element.
-    pub src: *const f32,
-    /// Scalar coefficient.
-    pub coeff: f32,
-}
-
-impl Term {
-    /// A placeholder term (null source); never dereferenced because every
-    /// kernel reads exactly its monomorphized arity.
-    pub const NULL: Term = Term { src: std::ptr::null(), coeff: 0.0 };
-}
-
-/// A monomorphized reduction sweep:
-/// `d[j] = init(j) + Σ_{i<N} terms[i].coeff · terms[i].src[j]` for
-/// `j < len`, applied left to right per element.  `init(j)` is `fill`
-/// when the kernel was selected with a fill init, else `acc[j]` (`acc`
-/// may equal `d`; any distinct pointer must be disjoint).
-///
-/// # Safety
-/// `d` must be valid for `len` writes, every term source (and `acc`, for
-/// accumulator-init kernels) for `len` reads, sources must not overlap
-/// `d` (except `acc == d`), `terms` must hold at least the kernel's
-/// arity, and the CPU must support the kernel's instruction set.
-pub type SweepFn =
-    unsafe fn(d: *mut f32, len: usize, fill: f32, acc: *const f32, terms: *const Term);
-
 /// One source term of a row-batched sweep call: the source pointer for
 /// the *first* PE of the segment, the per-PE pointer stride in elements
 /// (0 for the shared zero column), and the coefficient.
@@ -91,19 +63,25 @@ impl BatchTerm {
     pub const NULL: BatchTerm = BatchTerm { src: std::ptr::null(), stride: 0, coeff: 0.0 };
 }
 
-/// A row-batched [`SweepFn`]: one call executes the same sweep on
-/// `n_pes` consecutive PEs, advancing the destination (and accumulator,
-/// for accumulator-init kernels) by `pe_stride` elements per PE and each
-/// term source by its own [`BatchTerm::stride`].  Coefficient splats and
-/// term decoding are hoisted out of the per-PE loop, so dispatch cost is
-/// paid once per row segment instead of once per PE.  Per-element
-/// arithmetic is identical to the unbatched kernel — results are bitwise
-/// identical to `n_pes` individual [`SweepFn`] calls.
+/// A monomorphized, row-batched reduction sweep.  One call executes, on
+/// each of `n_pes` consecutive PEs,
+/// `d[j] = init(j) + Σ_{i<N} terms[i].coeff · terms[i].src[j]` for
+/// `j < len`, applied left to right per element, advancing the destination
+/// (and accumulator, for accumulator-init kernels) by `pe_stride` elements
+/// per PE and each term source by its own [`BatchTerm::stride`].  `init(j)`
+/// is `fill` when the kernel was selected with a fill init, else `acc[j]`
+/// (`acc` may equal `d`; any distinct pointer must be disjoint).
+/// Coefficient splats and term decoding are hoisted out of the per-PE
+/// loop, so dispatch cost is paid once per row segment instead of once per
+/// PE.
 ///
 /// # Safety
-/// As [`SweepFn`], for every PE `p < n_pes` at its strided offsets; the
-/// destination spans of distinct PEs must not overlap any other PE's
-/// sources.
+/// For every PE `p < n_pes` at its strided offsets: `d` must be valid for
+/// `len` writes, every term source (and `acc`, for accumulator-init
+/// kernels) for `len` reads, and sources must not overlap `d` (except
+/// `acc == d`) nor any other PE's destination span.  `terms` must hold at
+/// least the kernel's arity, and the CPU must support the kernel's
+/// instruction set.
 pub type SweepRowFn = unsafe fn(
     d: *mut f32,
     len: usize,
@@ -189,10 +167,9 @@ pub struct KernelSet {
     /// Whether mul-then-add pairs are contracted to fused multiply-adds
     /// (the tolerance-gated `fast_fma` mode).
     pub fast_fma: bool,
-    /// `sweeps[acc][arity]`: sweep kernels with a fill init (`acc = 0`)
-    /// or an accumulator init (`acc = 1`), arity `0..=MAX_ARITY`.
-    pub sweeps: [[SweepFn; MAX_ARITY + 1]; 2],
-    /// Row-batched variants of `sweeps`, indexed identically.
+    /// `sweep_rows[acc][arity]`: sweep kernels with a fill init
+    /// (`acc = 0`) or an accumulator init (`acc = 1`), arity
+    /// `0..=MAX_ARITY`.
     pub sweep_rows: [[SweepRowFn; MAX_ARITY + 1]; 2],
     /// Elementwise binaries indexed by [`crate::loader::BinKind`] order:
     /// add, sub, mul.
@@ -204,11 +181,6 @@ pub struct KernelSet {
 impl KernelSet {
     /// The sweep kernel for the given init kind and arity (`arity ≤
     /// MAX_ARITY`).
-    pub fn sweep(&self, acc_init: bool, arity: usize) -> SweepFn {
-        self.sweeps[usize::from(acc_init)][arity]
-    }
-
-    /// The row-batched sweep kernel for the given init kind and arity.
     pub fn sweep_row(&self, acc_init: bool, arity: usize) -> SweepRowFn {
         self.sweep_rows[usize::from(acc_init)][arity]
     }
@@ -258,37 +230,11 @@ trait Vector: Copy {
     unsafe fn mul_add(self, m: Self, a: Self) -> Self;
 }
 
-/// The generic sweep body: `N` is the arity, `ACC` selects the init kind,
-/// `FMA` the contraction mode.  Lanes compute the per-element chain
-/// `((init + s₀c₀) + s₁c₁) + …` exactly as the scalar stream does; the
-/// tail loop repeats the identical scalar sequence for `len % LANES`
-/// elements.
-#[inline(always)]
-unsafe fn sweep_body<W: Vector, const N: usize, const ACC: bool, const FMA: bool>(
-    d: *mut f32,
-    len: usize,
-    fill: f32,
-    acc: *const f32,
-    terms: *const Term,
-) {
-    let mut srcs = [std::ptr::null::<f32>(); N];
-    let mut coeffs = [0.0f32; N];
-    for (i, (s, c)) in srcs.iter_mut().zip(coeffs.iter_mut()).enumerate() {
-        let term = *terms.add(i);
-        *s = term.src;
-        *c = term.coeff;
-    }
-    let mut cv = [W::splat(0.0); N];
-    for (v, c) in cv.iter_mut().zip(coeffs.iter()) {
-        *v = W::splat(*c);
-    }
-    let fill_v = W::splat(fill);
-    sweep_span::<W, N, ACC, FMA>(d, len, fill, fill_v, acc, &srcs, &cv, &coeffs);
-}
-
-/// The innermost sweep loop over one destination span: shared by the
-/// per-PE and row-batched bodies so both compile to the identical
-/// per-element operation sequence.
+/// The innermost sweep loop over one PE's destination span: `N` is the
+/// arity, `ACC` selects the init kind, `FMA` the contraction mode.  Lanes
+/// compute the per-element chain `((init + s₀c₀) + s₁c₁) + …` exactly as
+/// the scalar stream does; the tail loop repeats the identical scalar
+/// sequence for `len % LANES` elements.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 unsafe fn sweep_span<W: Vector, const N: usize, const ACC: bool, const FMA: bool>(
@@ -322,10 +268,10 @@ unsafe fn sweep_span<W: Vector, const N: usize, const ACC: bool, const FMA: bool
     }
 }
 
-/// The row-batched sweep body: runs [`sweep_span`] once per PE with all
-/// term decoding and coefficient splats hoisted out of the PE loop.
-/// Pointers are advanced by multiplication (never past the final PE's
-/// span), so no pointer ever leaves its allocation.
+/// The sweep body: runs [`sweep_span`] once per PE with all term decoding
+/// and coefficient splats hoisted out of the PE loop.  Pointers are
+/// advanced by multiplication (never past the final PE's span), so no
+/// pointer ever leaves its allocation.
 #[inline(always)]
 unsafe fn sweep_row_body<W: Vector, const N: usize, const ACC: bool, const FMA: bool>(
     d: *mut f32,
@@ -417,34 +363,6 @@ unsafe fn macs_body<W: Vector, const FMA: bool>(
 /// body call in that ISA's `#[target_feature]` context.
 macro_rules! kernel_tables {
     ($isa:expr, $W:ty, $wrap:ident) => {
-        $wrap!(sweep0_e, sweep_body, $W, 0, false, false);
-        $wrap!(sweep1_e, sweep_body, $W, 1, false, false);
-        $wrap!(sweep2_e, sweep_body, $W, 2, false, false);
-        $wrap!(sweep3_e, sweep_body, $W, 3, false, false);
-        $wrap!(sweep4_e, sweep_body, $W, 4, false, false);
-        $wrap!(sweep5_e, sweep_body, $W, 5, false, false);
-        $wrap!(sweep6_e, sweep_body, $W, 6, false, false);
-        $wrap!(sweep0a_e, sweep_body, $W, 0, true, false);
-        $wrap!(sweep1a_e, sweep_body, $W, 1, true, false);
-        $wrap!(sweep2a_e, sweep_body, $W, 2, true, false);
-        $wrap!(sweep3a_e, sweep_body, $W, 3, true, false);
-        $wrap!(sweep4a_e, sweep_body, $W, 4, true, false);
-        $wrap!(sweep5a_e, sweep_body, $W, 5, true, false);
-        $wrap!(sweep6a_e, sweep_body, $W, 6, true, false);
-        $wrap!(sweep0_f, sweep_body, $W, 0, false, true);
-        $wrap!(sweep1_f, sweep_body, $W, 1, false, true);
-        $wrap!(sweep2_f, sweep_body, $W, 2, false, true);
-        $wrap!(sweep3_f, sweep_body, $W, 3, false, true);
-        $wrap!(sweep4_f, sweep_body, $W, 4, false, true);
-        $wrap!(sweep5_f, sweep_body, $W, 5, false, true);
-        $wrap!(sweep6_f, sweep_body, $W, 6, false, true);
-        $wrap!(sweep0a_f, sweep_body, $W, 0, true, true);
-        $wrap!(sweep1a_f, sweep_body, $W, 1, true, true);
-        $wrap!(sweep2a_f, sweep_body, $W, 2, true, true);
-        $wrap!(sweep3a_f, sweep_body, $W, 3, true, true);
-        $wrap!(sweep4a_f, sweep_body, $W, 4, true, true);
-        $wrap!(sweep5a_f, sweep_body, $W, 5, true, true);
-        $wrap!(sweep6a_f, sweep_body, $W, 6, true, true);
         $wrap!(row0_e, sweep_row_body, $W, 0, false, false);
         $wrap!(row1_e, sweep_row_body, $W, 1, false, false);
         $wrap!(row2_e, sweep_row_body, $W, 2, false, false);
@@ -483,10 +401,6 @@ macro_rules! kernel_tables {
         pub(super) static EXACT: super::KernelSet = super::KernelSet {
             isa: $isa,
             fast_fma: false,
-            sweeps: [
-                [sweep0_e, sweep1_e, sweep2_e, sweep3_e, sweep4_e, sweep5_e, sweep6_e],
-                [sweep0a_e, sweep1a_e, sweep2a_e, sweep3a_e, sweep4a_e, sweep5a_e, sweep6a_e],
-            ],
             sweep_rows: [
                 [row0_e, row1_e, row2_e, row3_e, row4_e, row5_e, row6_e],
                 [row0a_e, row1a_e, row2a_e, row3a_e, row4a_e, row5a_e, row6a_e],
@@ -499,10 +413,6 @@ macro_rules! kernel_tables {
         pub(super) static FMA: super::KernelSet = super::KernelSet {
             isa: $isa,
             fast_fma: true,
-            sweeps: [
-                [sweep0_f, sweep1_f, sweep2_f, sweep3_f, sweep4_f, sweep5_f, sweep6_f],
-                [sweep0a_f, sweep1a_f, sweep2a_f, sweep3a_f, sweep4a_f, sweep5a_f, sweep6a_f],
-            ],
             sweep_rows: [
                 [row0_f, row1_f, row2_f, row3_f, row4_f, row5_f, row6_f],
                 [row0a_f, row1a_f, row2a_f, row3a_f, row4a_f, row5a_f, row6a_f],
@@ -514,7 +424,7 @@ macro_rules! kernel_tables {
 }
 
 mod scalar {
-    use super::{macs_body, map_body, sweep_body, sweep_row_body, BatchTerm, Term, Vector};
+    use super::{macs_body, map_body, sweep_row_body, BatchTerm, Vector};
 
     /// One f32 "vector": the portable fallback, and the reference the
     /// vector sets are pinned against.
@@ -555,11 +465,6 @@ mod scalar {
 
     /// Plain wrappers (no target feature needed for scalar code).
     macro_rules! wrap_scalar {
-        ($name:ident, sweep_body, $W:ty, $n:expr, $acc:expr, $fma:expr) => {
-            unsafe fn $name(d: *mut f32, len: usize, fill: f32, acc: *const f32, t: *const Term) {
-                sweep_body::<$W, $n, $acc, $fma>(d, len, fill, acc, t)
-            }
-        };
         ($name:ident, sweep_row_body, $W:ty, $n:expr, $acc:expr, $fma:expr) => {
             unsafe fn $name(
                 d: *mut f32,
@@ -590,16 +495,16 @@ mod scalar {
 
 #[cfg(target_arch = "x86_64")]
 mod sse2 {
-    use super::{macs_body, map_body, sweep_body, sweep_row_body, BatchTerm, Term, Vector};
+    use super::{macs_body, map_body, sweep_row_body, BatchTerm, Vector};
     use std::arch::x86_64::*;
 
     /// Four f32 lanes (`__m128`); SSE2 is the x86-64 baseline, so no
     /// runtime check is needed, but the kernels stay behind the same
-    /// wrapper discipline as AVX2.  The fast-FMA variants additionally
-    /// require the FMA feature (checked by [`super::Isa::detect`]'s AVX2
-    /// gate — every AVX2 host has FMA; pre-AVX2 hosts fall back to
-    /// `f32::mul_add` through the scalar tail semantics of `mulps+addps`
-    /// replacement below).
+    /// wrapper discipline as AVX2.  SSE2 has no FMA instruction and this
+    /// set requires none: its fast-FMA variants emulate the single
+    /// rounding lane by lane with `f32::mul_add` (see `mul_add` below), so
+    /// they run on every x86-64 host and round exactly like the scalar
+    /// tail.
     #[derive(Clone, Copy)]
     pub(super) struct W(__m128);
 
@@ -650,12 +555,6 @@ mod sse2 {
     /// `#[target_feature(enable = "sse2")]` wrappers: the generic bodies
     /// are `#[inline(always)]`, so they compile in this feature context.
     macro_rules! wrap_sse2 {
-        ($name:ident, sweep_body, $W:ty, $n:expr, $acc:expr, $fma:expr) => {
-            #[target_feature(enable = "sse2")]
-            unsafe fn $name(d: *mut f32, len: usize, fill: f32, acc: *const f32, t: *const Term) {
-                sweep_body::<$W, $n, $acc, $fma>(d, len, fill, acc, t)
-            }
-        };
         ($name:ident, sweep_row_body, $W:ty, $n:expr, $acc:expr, $fma:expr) => {
             #[target_feature(enable = "sse2")]
             unsafe fn $name(
@@ -689,7 +588,7 @@ mod sse2 {
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{macs_body, map_body, sweep_body, sweep_row_body, BatchTerm, Term, Vector};
+    use super::{macs_body, map_body, sweep_row_body, BatchTerm, Vector};
     use std::arch::x86_64::*;
 
     /// Eight f32 lanes (`__m256`).
@@ -733,12 +632,6 @@ mod avx2 {
     /// (every AVX2 part ships FMA; the exact-mode kernels never execute
     /// the `vfmadd` path anyway).
     macro_rules! wrap_avx2 {
-        ($name:ident, sweep_body, $W:ty, $n:expr, $acc:expr, $fma:expr) => {
-            #[target_feature(enable = "avx2", enable = "fma")]
-            unsafe fn $name(d: *mut f32, len: usize, fill: f32, acc: *const f32, t: *const Term) {
-                sweep_body::<$W, $n, $acc, $fma>(d, len, fill, acc, t)
-            }
-        };
         ($name:ident, sweep_row_body, $W:ty, $n:expr, $acc:expr, $fma:expr) => {
             #[target_feature(enable = "avx2", enable = "fma")]
             unsafe fn $name(
@@ -813,6 +706,15 @@ mod tests {
             .collect()
     }
 
+    /// Single-PE terms (`n_pes = 1`, so the stride is never applied).
+    fn single_pe_terms(srcs: &[Vec<f32>], coeffs: &[f32]) -> [BatchTerm; MAX_ARITY] {
+        let mut terms = [BatchTerm::NULL; MAX_ARITY];
+        for (t, (s, &coeff)) in terms.iter_mut().zip(srcs.iter().zip(coeffs)) {
+            *t = BatchTerm { src: s.as_ptr(), stride: 0, coeff };
+        }
+        terms
+    }
+
     /// Tails and tiny views: every arity × init × ISA must be bitwise
     /// equal to the scalar reference at lengths around the 4- and 8-lane
     /// boundaries, including 0 and 1.
@@ -825,19 +727,18 @@ mod tests {
                     let srcs: Vec<Vec<f32>> = (0..arity).map(|i| data(len, 7 + i as u32)).collect();
                     let coeffs: Vec<f32> = (0..arity).map(|i| 0.25 - 0.125 * i as f32).collect();
                     let acc_init = data(len, 999);
-                    let mut terms = [Term::NULL; MAX_ARITY];
-                    for (t, (s, &c)) in terms.iter_mut().zip(srcs.iter().zip(&coeffs)) {
-                        *t = Term { src: s.as_ptr(), coeff: c };
-                    }
+                    let terms = single_pe_terms(&srcs, &coeffs);
                     // Fill init.
                     let mut d = vec![0.0f32; len];
                     unsafe {
-                        set.sweep(false, arity)(
+                        set.sweep_row(false, arity)(
                             d.as_mut_ptr(),
                             len,
                             1.5,
                             std::ptr::null(),
                             terms.as_ptr(),
+                            1,
+                            len,
                         )
                     };
                     let expect = reference_sweep(&vec![1.5; len], &srcs, &coeffs, len);
@@ -850,12 +751,14 @@ mod tests {
                     // Distinct accumulator init.
                     let mut d = vec![0.0f32; len];
                     unsafe {
-                        set.sweep(true, arity)(
+                        set.sweep_row(true, arity)(
                             d.as_mut_ptr(),
                             len,
                             0.0,
                             acc_init.as_ptr(),
                             terms.as_ptr(),
+                            1,
+                            len,
                         )
                     };
                     let expect = reference_sweep(&acc_init, &srcs, &coeffs, len);
@@ -868,9 +771,8 @@ mod tests {
                     // Self accumulator (acc == d): reads each element
                     // before overwriting it.
                     let mut d = acc_init.clone();
-                    unsafe {
-                        set.sweep(true, arity)(d.as_mut_ptr(), len, 0.0, d.as_ptr(), terms.as_ptr())
-                    };
+                    let dp = d.as_mut_ptr();
+                    unsafe { set.sweep_row(true, arity)(dp, len, 0.0, dp, terms.as_ptr(), 1, len) };
                     assert_eq!(
                         bits(&d),
                         bits(&expect),
@@ -938,15 +840,21 @@ mod tests {
             assert!(fma.fast_fma && !exact.fast_fma);
             let len = 33usize;
             let srcs: Vec<Vec<f32>> = (0..3).map(|i| data(len, 40 + i)).collect();
-            let terms: Vec<Term> =
-                srcs.iter().map(|s| Term { src: s.as_ptr(), coeff: 0.3333 }).collect();
-            let mut terms6 = [Term::NULL; MAX_ARITY];
-            terms6[..3].copy_from_slice(&terms);
+            let terms = single_pe_terms(&srcs, &[0.3333; 3]);
             let mut de = vec![0.0f32; len];
             let mut df = vec![0.0f32; len];
-            unsafe {
-                exact.sweep(false, 3)(de.as_mut_ptr(), len, 2.0, std::ptr::null(), terms6.as_ptr());
-                fma.sweep(false, 3)(df.as_mut_ptr(), len, 2.0, std::ptr::null(), terms6.as_ptr());
+            for (set, d) in [(exact, &mut de), (fma, &mut df)] {
+                unsafe {
+                    set.sweep_row(false, 3)(
+                        d.as_mut_ptr(),
+                        len,
+                        2.0,
+                        std::ptr::null(),
+                        terms.as_ptr(),
+                        1,
+                        len,
+                    )
+                };
             }
             for j in 0..len {
                 let delta = (de[j] - df[j]).abs();
@@ -974,8 +882,8 @@ mod tests {
         }
     }
 
-    /// The row-batched kernels must be bitwise identical to issuing the
-    /// per-PE kernel once per PE at each strided offset — including
+    /// One batched call over a row of PEs must be bitwise identical to the
+    /// scalar reference applied per PE at each strided offset — including
     /// stride-0 (shared zero-column) terms and both init kinds.
     #[test]
     fn row_batched_sweeps_match_per_pe_sweeps_bitwise() {
@@ -990,31 +898,34 @@ mod tests {
                     // odd terms are shared (stride 0).
                     let srcs: Vec<Vec<f32>> =
                         (0..arity).map(|i| data(total, 100 + i as u32)).collect();
+                    let strides: Vec<usize> =
+                        (0..arity).map(|i| if i % 2 == 0 { pe_stride } else { 0 }).collect();
+                    let coeffs: Vec<f32> = (0..arity).map(|i| 0.21 + 0.1 * i as f32).collect();
                     let acc0 = data(total, 7);
                     let mut batch = [BatchTerm::NULL; MAX_ARITY];
-                    let mut per_pe: Vec<[Term; MAX_ARITY]> = vec![[Term::NULL; MAX_ARITY]; n_pes];
                     for (i, s) in srcs.iter().enumerate() {
-                        let stride = if i % 2 == 0 { pe_stride } else { 0 };
-                        let coeff = 0.21 + 0.1 * i as f32;
-                        batch[i] = BatchTerm { src: s.as_ptr(), stride, coeff };
-                        for (p, terms) in per_pe.iter_mut().enumerate() {
-                            terms[i] = Term { src: unsafe { s.as_ptr().add(p * stride) }, coeff };
-                        }
+                        batch[i] =
+                            BatchTerm { src: s.as_ptr(), stride: strides[i], coeff: coeffs[i] };
                     }
                     for acc_init in [false, true] {
                         let mut expect = vec![0.0f32; total];
+                        for p in 0..n_pes {
+                            let pe_srcs: Vec<Vec<f32>> = srcs
+                                .iter()
+                                .zip(&strides)
+                                .map(|(s, stride)| s[p * stride..][..len].to_vec())
+                                .collect();
+                            let init = if acc_init {
+                                acc0[p * pe_stride..][..len].to_vec()
+                            } else {
+                                vec![1.25; len]
+                            };
+                            expect[p * pe_stride..][..len]
+                                .copy_from_slice(&reference_sweep(&init, &pe_srcs, &coeffs, len));
+                        }
                         let mut got = vec![0.0f32; total];
                         let acc = if acc_init { acc0.as_ptr() } else { std::ptr::null() };
                         unsafe {
-                            for (p, terms) in per_pe.iter().enumerate() {
-                                set.sweep(acc_init, arity)(
-                                    expect.as_mut_ptr().add(p * pe_stride),
-                                    len,
-                                    1.25,
-                                    if acc_init { acc.add(p * pe_stride) } else { acc },
-                                    terms.as_ptr(),
-                                );
-                            }
                             set.sweep_row(acc_init, arity)(
                                 got.as_mut_ptr(),
                                 len,

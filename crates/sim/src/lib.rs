@@ -10,14 +10,15 @@
 //!   interned buffer ids, one arena per PE, resolved instruction streams
 //!   with all bounds validated up front;
 //! * [`kernels`] — monomorphized SIMD kernels (AVX2/SSE2/scalar, selected
-//!   by runtime feature detection) with a bitwise-exact default mode and an
-//!   opt-in `fast_fma` contraction mode;
+//!   by runtime feature detection; one row-batched sweep family) with a
+//!   bitwise-exact default mode and an opt-in `fast_fma` contraction mode;
 //! * [`plan`] — the kernel-plan compiler: lowers linked instruction
 //!   streams into flat plans of pre-specialized kernel calls, proving
 //!   scratch round-trips away with link-time disjointness;
 //! * [`exec`] — lock-step execution of the planned program over the PE
-//!   grid (used to validate generated code against the reference
-//!   executor);
+//!   grid, one sequence per kernel: capture (unoptimized streams only),
+//!   op-major row bands, edge commits (used to validate generated code
+//!   against the reference executor);
 //! * [`fault`] — deterministic, seeded fault injection (arena bit-flips,
 //!   dropped/duplicated halo deliveries, stalled or panicking bands);
 //! * [`checkpoint`] — copy-on-write checkpoints, ABFT-style row

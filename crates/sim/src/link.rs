@@ -203,6 +203,14 @@ impl LinkedView {
         let start = self.base as usize + if self.dynamic { chunk_offset } else { 0 };
         start..start + self.len as usize
     }
+
+    /// Conservative arena interval `[start, end)` the view may touch at any
+    /// chunk offset: dynamic views are extended by `max_dyn`, the largest
+    /// runtime offset (see [`LinkedComm::max_dyn`]).
+    pub fn span(&self, max_dyn: usize) -> (usize, usize) {
+        let start = self.base as usize;
+        (start, start + self.len as usize + if self.dynamic { max_dyn } else { 0 })
+    }
 }
 
 /// One resolved instruction.  Compared with [`Instr`], scalar and view
@@ -263,6 +271,19 @@ pub enum LinkedInstr {
     },
 }
 
+impl LinkedInstr {
+    /// The view the instruction writes.
+    pub fn dest(&self) -> &LinkedView {
+        match self {
+            LinkedInstr::Fill { dest, .. }
+            | LinkedInstr::Copy { dest, .. }
+            | LinkedInstr::Binary { dest, .. }
+            | LinkedInstr::Macs { dest, .. }
+            | LinkedInstr::FusedMacs { dest, .. } => dest,
+        }
+    }
+}
+
 /// The initial value of a [`LinkedInstr::FusedMacs`] sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FusedInit {
@@ -308,9 +329,7 @@ pub enum SrcRef {
 /// One interior column captured by the pre-kernel snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapField {
-    /// The field buffer the column is captured from (used by the run
-    /// phase to skip re-snapshotting buffers that were not written since
-    /// the previous capture).
+    /// The field buffer the column is captured from.
     pub buffer: BufferId,
     /// Arena offset of the first interior element of the source buffer.
     pub src_base: usize,
@@ -374,6 +393,14 @@ impl LinkedComm {
     pub fn max_dy(&self) -> usize {
         self.slots.iter().map(|s| s.dy.unsigned_abs() as usize).max().unwrap_or(0)
     }
+
+    /// The largest runtime chunk offset of a dynamic view: dynamic views
+    /// only occur in the receive callback, and the final chunk shifts them
+    /// furthest.  Saturating, so a malformed zero-chunk exchange reads as
+    /// no shift.
+    pub fn max_dyn(&self) -> usize {
+        self.num_chunks.saturating_sub(1) * self.chunk_size
+    }
 }
 
 /// One kernel with all callbacks resolved.
@@ -399,10 +426,13 @@ pub struct LinkedKernel {
     /// Elements processed per PE per kernel invocation (used to decide
     /// whether parallel execution is worthwhile).
     pub work_per_pe: usize,
-    /// Buffers this kernel writes (dest views plus the receive buffer),
-    /// deduplicated.  The run phase uses this to invalidate only the halo
-    /// snapshots whose backing buffers actually changed.
-    pub writes: Vec<BufferId>,
+}
+
+impl LinkedKernel {
+    /// [`LinkedComm::max_dyn`] of the kernel's exchange (0 without one).
+    pub fn max_dyn(&self) -> usize {
+        self.comm.as_ref().map(LinkedComm::max_dyn).unwrap_or(0)
+    }
 }
 
 /// The executable flat-memory form of a program: phase 1 of the engine.
@@ -692,21 +722,11 @@ pub fn link_program_with(
                 link_comm(c, &by_name, &layouts, &program.field_buffers, program.z_halo as usize)
             })
             .transpose()?;
-        // Dynamic views only occur in receive callbacks; their largest
-        // runtime offset is reached on the final chunk.
-        let max_dyn = comm.as_ref().map(|c| (c.num_chunks - 1) * c.chunk_size).unwrap_or(0);
+        let max_dyn = comm.as_ref().map(LinkedComm::max_dyn).unwrap_or(0);
         let pre = link_block(&kernel.pre, &by_name, &layouts, 0, &mut max_view_len)?;
         let recv = link_block(&kernel.recv, &by_name, &layouts, max_dyn, &mut max_view_len)?;
         let done = link_block(&kernel.done, &by_name, &layouts, 0, &mut max_view_len)?;
-        kernels.push(LinkedKernel {
-            pre,
-            comm,
-            recv,
-            done,
-            commit: Vec::new(),
-            work_per_pe: 0,
-            writes: Vec::new(),
-        });
+        kernels.push(LinkedKernel { pre, comm, recv, done, commit: Vec::new(), work_per_pe: 0 });
     }
 
     let field_internal: Vec<bool> = program
@@ -744,12 +764,11 @@ fn instr_count(linked: &LinkedProgram) -> usize {
     linked.kernels.iter().map(|k| k.pre.len() + k.recv.len() + k.done.len() + k.commit.len()).sum()
 }
 
-/// Recomputes the derived per-kernel quantities (work estimates, written
-/// buffers, snapshot sizing) after the instruction streams settled.
+/// Recomputes the derived per-kernel work estimates and the report
+/// counters after the instruction streams settled.
 fn finalize(linked: &mut LinkedProgram) {
     linked.stats.instrs_after = instr_count(linked);
     linked.stats.arena_bytes_after = linked.arena_len * 4;
-    let layouts = std::mem::take(&mut linked.layouts);
     for kernel in &mut linked.kernels {
         let elements =
             |instrs: &[LinkedInstr]| -> usize { instrs.iter().map(instr_elements).sum() };
@@ -759,22 +778,7 @@ fn finalize(linked: &mut LinkedProgram) {
             let staged = c.slots.iter().filter(|s| s.staged).count();
             kernel.work_per_pe += c.num_chunks * (elements(&kernel.recv) + staged * c.chunk_size);
         }
-        let mut writes: Vec<BufferId> = kernel
-            .pre
-            .iter()
-            .chain(&kernel.recv)
-            .chain(&kernel.done)
-            .chain(&kernel.commit)
-            .map(|i| buffer_at(&layouts, instr_dest(i).base))
-            .collect();
-        if let Some(c) = &kernel.comm {
-            writes.push(buffer_at(&layouts, c.recv_base as u32));
-        }
-        writes.sort_unstable_by_key(|b| b.0);
-        writes.dedup();
-        kernel.writes = writes;
     }
-    linked.layouts = layouts;
     // Run the kernel planner once for its report: how many arithmetic ops
     // land on vector kernels vs the scalar fallback, and how many scratch
     // round-trips the disjointness proofs elide.  (The run phase rebuilds
@@ -792,16 +796,6 @@ fn finalize(linked: &mut LinkedProgram) {
 fn buffer_at(layouts: &[BufferLayout], offset: u32) -> BufferId {
     let index = layouts.partition_point(|l| l.base <= offset as usize);
     BufferId(index.saturating_sub(1) as u32)
-}
-
-fn instr_dest(instr: &LinkedInstr) -> &LinkedView {
-    match instr {
-        LinkedInstr::Fill { dest, .. }
-        | LinkedInstr::Copy { dest, .. }
-        | LinkedInstr::Binary { dest, .. }
-        | LinkedInstr::Macs { dest, .. }
-        | LinkedInstr::FusedMacs { dest, .. } => dest,
-    }
 }
 
 fn instr_elements(instr: &LinkedInstr) -> usize {
@@ -979,24 +973,12 @@ fn link_view(
 // their safety conditions).
 // ------------------------------------------------------------------------
 
-/// Conservative arena interval a view may touch at any chunk offset
-/// (dynamic views are extended by the largest runtime offset).
-fn view_span(view: &LinkedView, max_dyn: usize) -> (usize, usize) {
-    let start = view.base as usize;
-    (start, start + view.len as usize + if view.dynamic { max_dyn } else { 0 })
-}
-
 /// True when the two views cannot touch a common arena element at any
 /// chunk offset.
 pub(crate) fn views_disjoint(a: &LinkedView, b: &LinkedView, max_dyn: usize) -> bool {
-    let (a0, a1) = view_span(a, max_dyn);
-    let (b0, b1) = view_span(b, max_dyn);
+    let (a0, a1) = a.span(max_dyn);
+    let (b0, b1) = b.span(max_dyn);
     a1 <= b0 || b1 <= a0
-}
-
-/// Largest runtime chunk offset of the kernel's receive callback.
-fn max_dyn_of(kernel: &LinkedKernel) -> usize {
-    kernel.comm.as_ref().map(|c| (c.num_chunks - 1) * c.chunk_size).unwrap_or(0)
 }
 
 /// Runs the optimizer rewrites over every kernel.
@@ -1041,7 +1023,7 @@ fn optimize_program(linked: &mut LinkedProgram, options: &LinkOptions) {
     pass(linked, &mut stats, "fuse-mul-add-pairs", &fuse_mul_add_pairs);
     pass(linked, &mut stats, "fuse-block", &|linked, stats| {
         for kernel in &mut linked.kernels {
-            let max_dyn = max_dyn_of(kernel);
+            let max_dyn = kernel.max_dyn();
             // Dynamic views only take a non-zero offset in the receive
             // callback; pre/done always run at chunk offset 0.
             kernel.pre = fuse_block(&kernel.pre, 0, mutate, stats);
@@ -1081,7 +1063,7 @@ fn fuse_mul_add_pairs(linked: &mut LinkedProgram, stats: &mut OptStats) {
     let mut written = vec![false; layouts.len()];
     for kernel in &linked.kernels {
         for instr in kernel.pre.iter().chain(&kernel.recv).chain(&kernel.done) {
-            written[buffer_at(&layouts, instr_dest(instr).base).0 as usize] = true;
+            written[buffer_at(&layouts, instr.dest().base).0 as usize] = true;
         }
         if let Some(comm) = &kernel.comm {
             written[buffer_at(&layouts, comm.recv_base as u32).0 as usize] = true;
@@ -1118,7 +1100,7 @@ fn fuse_mul_add_pairs(linked: &mut LinkedProgram, stats: &mut OptStats) {
         let mut skipped = SkipCounts::default();
         let (events, position) = program_events(linked);
         for k in 0..linked.kernels.len() {
-            let max_dyn = max_dyn_of(&linked.kernels[k]);
+            let max_dyn = linked.kernels[k].max_dyn();
             for block_index in 0..3 {
                 let block = match block_index {
                     0 => &linked.kernels[k].pre,
@@ -1160,7 +1142,7 @@ fn fuse_mul_add_pairs(linked: &mut LinkedProgram, stats: &mut OptStats) {
                     }
                     // Dropping the scratch write requires it to be dead.
                     let pos = position[&(k, block_index, i + 1)];
-                    if !write_is_dead(&events, pos, view_span(t, max_dyn)) {
+                    if !write_is_dead(&events, pos, t.span(max_dyn)) {
                         skipped.multi_result += 1;
                         continue;
                     }
@@ -1203,7 +1185,7 @@ fn elide_dead_internal_writes(linked: &mut LinkedProgram, stats: &mut OptStats) 
     'rescan: loop {
         let (events, position) = program_events(linked);
         for k in 0..linked.kernels.len() {
-            let max_dyn = max_dyn_of(&linked.kernels[k]);
+            let max_dyn = linked.kernels[k].max_dyn();
             for block_index in 0..3 {
                 let block = match block_index {
                     0 => &linked.kernels[k].pre,
@@ -1211,12 +1193,12 @@ fn elide_dead_internal_writes(linked: &mut LinkedProgram, stats: &mut OptStats) 
                     _ => &linked.kernels[k].done,
                 };
                 for i in 0..block.len() {
-                    let dest = instr_dest(&block[i]);
+                    let dest = block[i].dest();
                     if !internal.contains(&buffer_at(&layouts, dest.base)) {
                         continue;
                     }
                     let pos = position[&(k, block_index, i)];
-                    if !write_is_dead(&events, pos, view_span(dest, max_dyn)) {
+                    if !write_is_dead(&events, pos, dest.span(max_dyn)) {
                         continue;
                     }
                     let block = match block_index {
@@ -1386,7 +1368,7 @@ fn defer_commits(linked: &mut LinkedProgram, stats: &mut OptStats) {
         }
         let snapped: Vec<BufferId> = comm.snap_fields.iter().map(|f| f.buffer).collect();
         let writes_snapped =
-            |instr: &LinkedInstr| snapped.contains(&buffer_at(&layouts, instr_dest(instr).base));
+            |instr: &LinkedInstr| snapped.contains(&buffer_at(&layouts, instr.dest().base));
         // Deferred commits run after the sweeps, against the live arenas:
         // a direct slot read ([`SrcRef::Slot`]) inside one would observe
         // *post*-commit neighbor state (and the run phase does not even
@@ -1585,9 +1567,9 @@ struct Event {
 }
 
 fn instr_event(instr: &LinkedInstr, max_dyn: usize) -> Event {
-    let read = |v: &LinkedView| view_span(v, max_dyn);
+    let read = |v: &LinkedView| v.span(max_dyn);
     let write = |v: &LinkedView| {
-        let (start, end) = view_span(v, max_dyn);
+        let (start, end) = v.span(max_dyn);
         Some((start, end, !v.dynamic))
     };
     match instr {
@@ -1632,7 +1614,7 @@ fn program_events(linked: &LinkedProgram) -> (Vec<Event>, EventPositions) {
     let mut events = Vec::new();
     let mut position = HashMap::new();
     for (k, kernel) in linked.kernels.iter().enumerate() {
-        let max_dyn = max_dyn_of(kernel);
+        let max_dyn = kernel.max_dyn();
         if let Some(comm) = &kernel.comm {
             let reads =
                 comm.snap_fields.iter().map(|f| (f.src_base, f.src_base + f.copy_len)).collect();
@@ -1710,7 +1692,7 @@ fn fold_copies(linked: &mut LinkedProgram, stats: &mut OptStats) {
         let mut skipped = SkipCounts::default();
         let (events, position) = program_events(linked);
         for k in 0..linked.kernels.len() {
-            let max_dyn = max_dyn_of(&linked.kernels[k]);
+            let max_dyn = linked.kernels[k].max_dyn();
             for block_index in 0..3 {
                 let block = match block_index {
                     0 => &linked.kernels[k].pre,
@@ -1741,7 +1723,7 @@ fn fold_copies(linked: &mut LinkedProgram, stats: &mut OptStats) {
                         continue;
                     }
                     let copy_pos = position[&(k, block_index, i + 1)];
-                    if !write_is_dead(&events, copy_pos, view_span(dest, max_dyn)) {
+                    if !write_is_dead(&events, copy_pos, dest.span(max_dyn)) {
                         skipped.multi_result += 1;
                         continue;
                     }
@@ -1775,7 +1757,7 @@ fn fold_binary_copies(linked: &mut LinkedProgram, stats: &mut OptStats) {
         let mut skipped = SkipCounts::default();
         let (events, position) = program_events(linked);
         for k in 0..linked.kernels.len() {
-            let max_dyn = max_dyn_of(&linked.kernels[k]);
+            let max_dyn = linked.kernels[k].max_dyn();
             for block_index in 0..3 {
                 let block = match block_index {
                     0 => &linked.kernels[k].pre,
@@ -1796,7 +1778,7 @@ fn fold_binary_copies(linked: &mut LinkedProgram, stats: &mut OptStats) {
                         continue;
                     }
                     let copy_pos = position[&(k, block_index, i + 1)];
-                    if !write_is_dead(&events, copy_pos, view_span(t, max_dyn)) {
+                    if !write_is_dead(&events, copy_pos, t.span(max_dyn)) {
                         skipped.multi_result += 1;
                         continue;
                     }

@@ -9,7 +9,8 @@
 //! op and zero per-element decisions.  Three lowering rules do the work:
 //!
 //! - **Sweeps.** A [`LinkedInstr::FusedMacs`] of arity `≤`
-//!   [`MAX_ARITY`] becomes a single [`SweepGroup`] whose kernel is
+//!   [`MAX_ARITY`] becomes a single [`SweepGroup`] whose row-batched
+//!   kernel (the only sweep family — one call covers a run of PEs) is
 //!   monomorphized for its exact arity and init kind.  Wider chains split
 //!   into a head group (carrying the real init) followed by continuation
 //!   groups that accumulate onto the destination (`AccSelf`), at most
@@ -30,7 +31,7 @@
 //!   bits are identical; [`PlanCounts`] reports which path every op took
 //!   so conformance and benches can force and observe each.
 
-use crate::kernels::{kernel_set, Isa, KernelSet, MacsFn, MapFn, SweepFn, SweepRowFn, MAX_ARITY};
+use crate::kernels::{kernel_set, Isa, KernelSet, MacsFn, MapFn, SweepRowFn, MAX_ARITY};
 use crate::link::{
     views_disjoint, FusedInit, FusedTerm, LinkedInstr, LinkedKernel, LinkedProgram, LinkedView,
 };
@@ -143,12 +144,10 @@ pub enum PlannedOp {
 /// One monomorphized sweep call of a planned [`PlannedOp::Sweep`].
 #[derive(Debug, Clone)]
 pub struct SweepGroup {
-    /// The sweep kernel, specialized for this group's arity and init
-    /// kind.
-    pub kernel: SweepFn,
-    /// The row-batched variant of `kernel` (same specialization): the run
-    /// phase calls it once per row segment where every source advances by
-    /// a fixed per-PE stride, amortizing dispatch over the whole row.
+    /// The row-batched sweep kernel, specialized for this group's arity
+    /// and init kind: the run phase calls it once per row segment where
+    /// every source advances by a fixed per-PE stride, amortizing dispatch
+    /// over the whole row.
     pub row_kernel: SweepRowFn,
     /// The multiply-accumulate terms this call applies (`len ≤
     /// MAX_ARITY`).
@@ -168,7 +167,7 @@ fn plan_kernel(kernel: &LinkedKernel, set: &KernelSet, counts: &mut PlanCounts) 
     // Dynamic views only take a non-zero chunk offset in the receive
     // callback; pre/done/commit always run at offset 0, so their
     // disjointness proofs need no dynamic slack.
-    let max_dyn = kernel.comm.as_ref().map(|c| (c.num_chunks - 1) * c.chunk_size).unwrap_or(0);
+    let max_dyn = kernel.max_dyn();
     KernelPlan {
         pre: plan_block(&kernel.pre, 0, set, counts),
         recv: plan_block(&kernel.recv, max_dyn, set, counts),
@@ -243,7 +242,6 @@ fn plan_instr(
             // still needs one arity-0 call to apply it.
             let head: &[FusedTerm] = chunks.next().unwrap_or(&[]);
             groups.push(SweepGroup {
-                kernel: set.sweep(head_acc, head.len()),
                 row_kernel: set.sweep_row(head_acc, head.len()),
                 terms: head.into(),
             });
@@ -253,7 +251,6 @@ fn plan_instr(
             // the value the head group stored.
             for chunk in chunks {
                 groups.push(SweepGroup {
-                    kernel: set.sweep(true, chunk.len()),
                     row_kernel: set.sweep_row(true, chunk.len()),
                     terms: chunk.into(),
                 });

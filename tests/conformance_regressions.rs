@@ -755,20 +755,21 @@ mod simd_tails {
     /// tolerate it).
     #[test]
     fn zero_length_sweeps_are_no_ops_on_every_isa() {
-        use wse_sim::kernels::{kernel_set, BatchTerm, Isa, Term, MAX_ARITY};
+        use wse_sim::kernels::{kernel_set, BatchTerm, Isa, MAX_ARITY};
         let mut d = [7.0f32; 4];
-        let terms = [Term::NULL; MAX_ARITY];
         let batch = [BatchTerm::NULL; MAX_ARITY];
         for isa in [Isa::Scalar, Isa::detect()] {
             let set = kernel_set(isa, false);
             // SAFETY: len 0 (and 0 PEs) never dereferences any pointer.
             unsafe {
-                set.sweep(false, MAX_ARITY)(
+                set.sweep_row(false, MAX_ARITY)(
                     d.as_mut_ptr(),
                     0,
                     1.0,
                     std::ptr::null(),
-                    terms.as_ptr(),
+                    batch.as_ptr(),
+                    1,
+                    0,
                 );
                 set.sweep_row(false, MAX_ARITY)(
                     d.as_mut_ptr(),

@@ -4,16 +4,20 @@
 //! link-time optimizer must be bitwise-transparent: every case runs
 //! through both the optimized and the `WSE_SIM_NO_FUSE=1` stream and the
 //! two grids must be identical bit for bit.  So must the pooled band
-//! wavefront, for any band count, against single-threaded execution.
+//! wavefront, for any band count, against single-threaded execution, and
+//! the op-major row path on the stream shapes no paper program has: a
+//! receive slot the optimizer left staged, a fused sweep in a commit block.
 
 use proptest::prelude::*;
 use testkit::conformance::bitwise_difference;
+use testkit::generate_case;
 use wse_frontends::ast::{Expr, Frontend, GridSpec, StencilEquation, StencilProgram};
 use wse_frontends::benchmarks::{acoustic, diffusion, jacobian, seismic_25pt, uvkbe};
 use wse_lowering::{lower_program, PipelineOptions};
+use wse_sim::link::{LinkedInstr, LinkedKernel};
 use wse_sim::{
-    load_program, max_abs_difference, run_reference, GridState, LinkOptions, LoadedProgram,
-    WseGridSim,
+    load_program, max_abs_difference, run_reference, GridState, InterpGridSim, LinkOptions,
+    LoadedProgram, WseGridSim,
 };
 
 /// Lowers, links, and simulates with the link-time optimizer on and off;
@@ -73,6 +77,64 @@ fn state_on_bands(loaded: &LoadedProgram, bands: usize) -> GridState {
     sim.set_threads(bands);
     sim.run(None).expect("simulation succeeds");
     sim.grid_state().expect("state extraction succeeds")
+}
+
+/// Runs the generated programs of `seeds` (default generator profile)
+/// through the optimized stream on 1, 2 and 3 row bands and requires
+/// bitwise equality with the unoptimized stream and the interpreter.
+/// `premise` must hold for some kernel of every optimized stream, so a
+/// generator or optimizer change cannot quietly empty the test.
+fn optimized_stream_matches_oracles(seeds: &[u64], what: &str, premise: fn(&LinkedKernel) -> bool) {
+    for &seed in seeds {
+        let case = generate_case(seed);
+        let lowered = lower_program(&case.program, &case.options).expect("pinned seed lowers");
+        let loaded = load_program(&lowered.ctx, lowered.module).expect("pinned seed loads");
+
+        let unoptimized = LinkOptions { optimize: false, ..LinkOptions::default() };
+        let mut oracle = WseGridSim::with_options(loaded.clone(), unoptimized).expect("links");
+        oracle.run(None).expect("unoptimized run");
+        let oracle = oracle.grid_state().expect("unoptimized state");
+        let mut interp = InterpGridSim::new(loaded.clone());
+        interp.run(None).expect("interpreter run");
+        let difference = bitwise_difference(&oracle, &interp.grid_state());
+        assert!(difference.is_none(), "seed {seed}: the oracles disagree: {difference:?}");
+
+        for bands in 1..=3 {
+            let mut sim =
+                WseGridSim::with_options(loaded.clone(), LinkOptions::default()).expect("links");
+            assert!(sim.linked().stats().optimized, "seed {seed}: optimizer off");
+            assert!(
+                sim.linked().kernels.iter().any(premise),
+                "seed {seed}: the optimized stream no longer {what}"
+            );
+            sim.set_threads(bands);
+            sim.run(None).expect("optimized run");
+            let difference = bitwise_difference(&oracle, &sim.grid_state().expect("state"));
+            assert!(difference.is_none(), "seed {seed}, {bands} band(s): {difference:?}");
+        }
+    }
+}
+
+/// A receive slot the optimizer could not elide is staged row-wide ahead
+/// of each chunk's receive ops (from live neighbor arenas: every one of
+/// these streams has its capture elided).
+#[test]
+fn retained_staged_slots_run_op_major_bitwise() {
+    optimized_stream_matches_oracles(&[12, 15, 32, 85, 107], "keeps a staged slot", |kernel| {
+        kernel.comm.as_ref().is_some_and(|c| !c.capture && c.slots.iter().any(|s| s.staged))
+    });
+}
+
+/// A fused sweep inside a deferred commit block takes the row-batched
+/// kernels like any other sweep, inside the band wavefront and on the
+/// dispatcher's edge rows alike.
+#[test]
+fn commit_block_sweeps_run_row_batched_bitwise() {
+    optimized_stream_matches_oracles(
+        &[48, 107, 242, 361, 372],
+        "commits a fused sweep",
+        |kernel| kernel.commit.iter().any(|i| matches!(i, LinkedInstr::FusedMacs { .. })),
+    );
 }
 
 proptest! {

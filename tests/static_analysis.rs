@@ -13,10 +13,11 @@ use wse_frontends::ast::{Expr, Frontend, GridSpec, StencilEquation, StencilProgr
 use wse_frontends::benchmarks::Benchmark;
 use wse_lowering::lower_program;
 use wse_sim::link::{
-    BufferId, BufferLayout, FusedInit, FusedTerm, LinkedInstr, LinkedKernel, LinkedProgram,
-    LinkedView, SrcRef,
+    BufferId, BufferLayout, FusedInit, FusedTerm, LinkedComm, LinkedInstr, LinkedKernel,
+    LinkedProgram, LinkedView, SrcRef,
 };
-use wse_sim::{link_program_with, load_program, LinkOptions, OptStats, WseGridSim};
+use wse_sim::plan::PlannedOp;
+use wse_sim::{link_program_with, load_program, plan_program, LinkOptions, OptStats, WseGridSim};
 
 fn analyzer() -> Analyzer {
     Analyzer::new()
@@ -152,11 +153,10 @@ fn redundant_retained_capture_is_flagged() {
     assert!(!has_errors(&findings));
 }
 
-/// Fixture 5 (clean, hand-constructed): a minimal three-instruction
-/// stream whose dependence DAG is small enough to predict exactly.
-#[test]
-fn hand_built_stream_has_exact_dependence_edges() {
-    let linked = LinkedProgram {
+/// A one-PE program over three 4-element buffers `a`, `b`, `c` running
+/// the single hand-built `kernel`.
+fn hand_built_program(kernel: LinkedKernel) -> LinkedProgram {
+    LinkedProgram {
         width: 1,
         height: 1,
         z_dim: 4,
@@ -170,33 +170,34 @@ fn hand_built_stream_has_exact_dependence_edges() {
         ],
         field_ids: vec![BufferId(0)],
         field_internal: vec![false],
-        kernels: vec![LinkedKernel {
-            pre: vec![
-                // Writes b.
-                LinkedInstr::Fill { dest: view(4, 4), value: 1.0 },
-                // Reads a and b, writes a: RAW on b from the Fill.
-                LinkedInstr::Macs {
-                    dest: view(0, 4),
-                    acc: view(0, 4),
-                    src: view(4, 4),
-                    coeff: 0.5,
-                },
-                // Reads c, writes b: WAR against the Macs read of b, WAW
-                // against the Fill write of b.
-                LinkedInstr::Copy { dest: view(4, 4), src: view(8, 4) },
-            ],
-            comm: None,
-            recv: Vec::new(),
-            done: Vec::new(),
-            commit: Vec::new(),
-            work_per_pe: 12,
-            writes: vec![BufferId(0), BufferId(1)],
-        }],
+        kernels: vec![kernel],
         max_view_len: 4,
         simd: false,
         fast_fma: false,
         stats: OptStats::default(),
-    };
+    }
+}
+
+/// Fixture 5 (clean, hand-constructed): a minimal three-instruction
+/// stream whose dependence DAG is small enough to predict exactly.
+#[test]
+fn hand_built_stream_has_exact_dependence_edges() {
+    let linked = hand_built_program(LinkedKernel {
+        pre: vec![
+            // Writes b.
+            LinkedInstr::Fill { dest: view(4, 4), value: 1.0 },
+            // Reads a and b, writes a: RAW on b from the Fill.
+            LinkedInstr::Macs { dest: view(0, 4), acc: view(0, 4), src: view(4, 4), coeff: 0.5 },
+            // Reads c, writes b: WAR against the Macs read of b, WAW
+            // against the Fill write of b.
+            LinkedInstr::Copy { dest: view(4, 4), src: view(8, 4) },
+        ],
+        comm: None,
+        recv: Vec::new(),
+        done: Vec::new(),
+        commit: Vec::new(),
+        work_per_pe: 12,
+    });
 
     let graph = analyzer().dependence_graph(&linked);
     let counts = graph.counts();
@@ -212,6 +213,51 @@ fn hand_built_stream_has_exact_dependence_edges() {
     // And the stream itself is clean.
     let findings = analyzer().check_stream(&linked);
     assert!(findings.is_empty(), "{findings:?}");
+}
+
+/// Fixture 6 (malformed, hand-constructed): an exchange with zero chunks,
+/// which no linked program has (`link_comm` rejects it) but a hand-built
+/// stream can.  The planner and the dependence DAG share
+/// [`LinkedComm::max_dyn`], so neither underflows and both take every
+/// dynamic view of the receive block at the same unshifted span.
+#[test]
+fn zero_chunk_exchange_neither_panics_nor_splits_planner_and_dag() {
+    let dynamic = |base, len| LinkedView { base, len, dynamic: true };
+    // A dynamic accumulate next to, then on top of, its static source.
+    let recv = vec![
+        LinkedInstr::Macs { dest: dynamic(0, 4), acc: dynamic(0, 4), src: view(4, 4), coeff: 0.5 },
+        LinkedInstr::Macs { dest: dynamic(2, 4), acc: dynamic(2, 4), src: view(4, 4), coeff: 0.5 },
+    ];
+    let linked = hand_built_program(LinkedKernel {
+        pre: Vec::new(),
+        comm: Some(LinkedComm {
+            num_chunks: 0,
+            chunk_size: 4,
+            recv_base: 8,
+            slots: Vec::new(),
+            snap_fields: Vec::new(),
+            col_len: 0,
+            capture: false,
+        }),
+        recv: recv.clone(),
+        done: Vec::new(),
+        commit: Vec::new(),
+        work_per_pe: 0,
+    });
+    assert_eq!(linked.kernels[0].max_dyn(), 0);
+
+    let plan = plan_program(&linked);
+    let graph = analyzer().dependence_graph(&linked);
+    assert_eq!(graph.nodes.len(), recv.len());
+    for ((instr, op), node) in recv.iter().zip(&plan.kernels[0].recv).zip(&graph.nodes) {
+        let LinkedInstr::Macs { dest, acc, src, .. } = instr else { unreachable!() };
+        assert_eq!(node.write, Some(dest.span(0)), "{}", node.label);
+        assert_eq!(node.reads, vec![acc.span(0), src.span(0)], "{}", node.label);
+        // The planner's in-place proof is the DAG's interval test.
+        let (w, r) = (dest.span(0), src.span(0));
+        let PlannedOp::Macs { direct, .. } = op else { panic!("expected a planned Macs") };
+        assert_eq!(*direct, !(w.0 < r.1 && r.0 < w.1), "{}", node.label);
+    }
 }
 
 /// Fixture 6: a benchmark stream with a halo exchange grows snapshot and
