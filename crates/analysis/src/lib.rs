@@ -9,19 +9,20 @@
 //!   (unused fields, dead stores, self-aliasing applies, out-of-bounds
 //!   offsets, unsupported halo radii, degree caps);
 //! * the linked instruction stream ([`LinkedProgram`]), after every
-//!   optimizer rewrite — [`dag`] assembles def-use chains and
-//!   buffer-range interval sets into a dependence DAG (RAW/WAR/WAW plus
-//!   snapshot and halo edges), and [`race`] re-derives the cross-PE
+//!   optimizer rewrite — both stream passes sit on the dependence core in
+//!   `wse_sim::deps`, the same events and interval queries the link-time
+//!   optimizer decides from: [`dag`] is a labelled view of its events and
+//!   RAW/WAR/WAW/snapshot/halo edges, and [`race`] states the cross-PE
 //!   safety invariants the optimizer relies on (`E101`/`E102`/`W101`)
-//!   without executing anything.
+//!   over its transmitted intervals, without executing anything.
 //!
 //! All codes come from the single registry in [`wse_ir::diagnostics`];
 //! the `wse-lint` binary fronts both passes and renders
-//! `--explain <code>` from the same table.  The third static consumer —
-//! the translation validator that re-checks every link-time rewrite —
-//! lives with the optimizer itself in `wse_sim::validate`; this crate's
-//! race detector covers the schedule-dependent hazards that validator
-//! deliberately models away.
+//! `--explain <code>` from the same table.  The translation validator that
+//! re-checks every link-time rewrite lives with the optimizer in
+//! `wse_sim::validate` and shares nothing with the dependence core — it is
+//! the independent oracle for it; this crate's race detector covers the
+//! schedule-dependent hazards that validator deliberately models away.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

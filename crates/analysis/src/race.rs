@@ -19,50 +19,52 @@
 //!   columns no sweep write ever touches could have been elided —
 //!   finding **W101**.
 //!
-//! The detector re-derives these invariants from nothing but the stream
-//! itself — no execution, no knowledge of which pass produced it — so it
-//! cross-checks the optimizer the same way the translation validator
-//! cross-checks dataflow: independently.  The conformance harness runs it
+//! The detector states these invariants as rules of its own over the
+//! stream's events ([`wse_sim::deps::cycle_events`]: the transmitted
+//! intervals, each instruction's write span, which instructions read a
+//! slot) — no execution, no knowledge of which pass produced the stream.  The conformance harness runs it
 //! on every generated seed; the unit fixtures in `tests/static_analysis.rs`
 //! pin hand-written racy and clean streams.
 
-use wse_sim::link::{LinkedComm, LinkedInstr, LinkedProgram, SrcRef};
+use wse_sim::deps::{self, overlaps, Block, EventKind};
+use wse_sim::link::LinkedProgram;
 
-use crate::dag::overlaps;
 use crate::Finding;
-
-fn snapped_ranges(comm: &LinkedComm) -> Vec<(usize, usize)> {
-    comm.snap_fields.iter().map(|f| (f.src_base, f.src_base + f.copy_len)).collect()
-}
 
 /// Runs every check over one linked stream.
 pub fn check_stream(linked: &LinkedProgram) -> Vec<Finding> {
     let mut findings = Vec::new();
+    let events = deps::cycle_events(linked);
     for (k, kernel) in linked.kernels.iter().enumerate() {
         let Some(comm) = &kernel.comm else { continue };
-        let max_dyn = kernel.max_dyn();
-        let snapped = snapped_ranges(comm);
-        let sweep_blocks = [("pre", &kernel.pre), ("recv", &kernel.recv), ("done", &kernel.done)];
+        let mut of_kernel = events.iter().filter(|e| e.kernel == k);
+        // The exchange's first event reads exactly the transmitted columns.
+        let snapped = &of_kernel.next().expect("an exchange has a snapshot event").reads;
+        let instrs = of_kernel.filter(|e| e.kind == EventKind::Instr);
+        let (commits, sweeps): (Vec<_>, Vec<_>) = instrs.partition(|e| e.block == Block::Commit);
 
         // E101 / W101: sweep-phase writes vs. transmitted columns.
         let mut sweep_touches_snapped = false;
-        for (phase, instrs) in sweep_blocks {
-            for (i, instr) in instrs.iter().enumerate() {
-                let w = instr.dest().span(max_dyn);
-                let Some(range) = snapped.iter().find(|&&r| overlaps(w, r)) else { continue };
-                sweep_touches_snapped = true;
-                if !comm.capture {
-                    findings.push(Finding::new(
-                        "E101",
-                        format!("kernel {k}, {phase}[{i}]"),
-                        format!(
-                            "writes arena [{}, {}) inside transmitted column [{}, {}) while \
-                             the snapshot capture is elided: a neighbor band sweeping \
-                             concurrently reads this live column",
-                            w.0, w.1, range.0, range.1
-                        ),
-                    ));
-                }
+        for event in sweeps {
+            let w = event.write.expect("instructions write");
+            let Some(range) = snapped.iter().find(|&&r| overlaps(w, r)) else { continue };
+            sweep_touches_snapped = true;
+            if !comm.capture {
+                let phase = match event.block {
+                    Block::Pre => "pre",
+                    Block::Recv => "recv",
+                    _ => "done",
+                };
+                findings.push(Finding::new(
+                    "E101",
+                    format!("kernel {k}, {phase}[{}]", event.index),
+                    format!(
+                        "writes arena [{}, {}) inside transmitted column [{}, {}) while \
+                         the snapshot capture is elided: a neighbor band sweeping \
+                         concurrently reads this live column",
+                        w.0, w.1, range.0, range.1
+                    ),
+                ));
             }
         }
         if comm.capture && !sweep_touches_snapped {
@@ -76,17 +78,14 @@ pub fn check_stream(linked: &LinkedProgram) -> Vec<Finding> {
         }
 
         // E102: slot reads inside the deferred-commit window.
-        for (i, instr) in kernel.commit.iter().enumerate() {
-            let LinkedInstr::FusedMacs { terms, .. } = instr else { continue };
-            if terms.iter().any(|t| matches!(t.src, SrcRef::Slot { .. })) {
-                findings.push(Finding::new(
-                    "E102",
-                    format!("kernel {k}, commit[{i}]"),
-                    "commit instruction sources a receive slot; commits run after the \
-                     sweep barrier, when the snapshot no longer reflects neighbor state"
-                        .to_string(),
-                ));
-            }
+        for event in commits.iter().filter(|e| e.halo) {
+            findings.push(Finding::new(
+                "E102",
+                format!("kernel {k}, commit[{}]", event.index),
+                "commit instruction sources a receive slot; commits run after the \
+                 sweep barrier, when the snapshot no longer reflects neighbor state"
+                    .to_string(),
+            ));
         }
     }
     findings

@@ -4,10 +4,8 @@
 //! replaced: every PE owns a `HashMap` of named buffers, every kernel
 //! clones the full field state of every PE for the halo snapshot, and
 //! every view read allocates a fresh `Vec<f32>`.  It is retained verbatim
-//! so the `sim_throughput` bench can report the speedup of the linked
-//! flat-memory engine against it, and so parity tests can check the two
-//! engines produce bitwise-identical results.  Do not use it for new
-//! work.
+//! so parity tests and the conformance harness can check the two engines
+//! produce bitwise-identical results.  Do not use it for new work.
 //!
 //! # Shared instruction semantics
 //!

@@ -8,7 +8,12 @@
 //!   per-PE program;
 //! * [`link`] — compiles the loaded program into a flat-memory form:
 //!   interned buffer ids, one arena per PE, resolved instruction streams
-//!   with all bounds validated up front;
+//!   with all bounds validated up front, then optimized by ten pass
+//!   units whose safety conditions are queries on [`deps`];
+//! * [`deps`] — the dependence core: the single per-instruction operand
+//!   match, the events of one program cycle, and the interval, liveness,
+//!   reaching-write, chunk-carried and edge queries the optimizer, the
+//!   planner and `wse-analysis` all consume;
 //! * [`kernels`] — monomorphized SIMD kernels (AVX2/SSE2/scalar, selected
 //!   by runtime feature detection; one row-batched sweep family) with a
 //!   bitwise-exact default mode and an opt-in `fast_fma` contraction mode;
@@ -25,7 +30,7 @@
 //!   checksums, and the recovery configuration behind the engine's
 //!   detect-and-rollback loop;
 //! * [`interp`] — the pre-refactor string-keyed interpreter, kept as the
-//!   baseline for the `sim_throughput` bench and engine-parity tests;
+//!   baseline for the engine-parity tests;
 //! * [`reference`] — a sequential reference executor over dense 3-D grids;
 //! * [`perf`] — the analytic cycle model (DSD throughput, fabric hops,
 //!   task activation overheads, WSE2 self-transmit penalty);
@@ -38,6 +43,7 @@
 
 pub mod baselines;
 pub mod checkpoint;
+pub mod deps;
 pub mod env;
 pub mod exec;
 pub mod fault;

@@ -27,38 +27,59 @@
 //!
 //! After resolution, [`link_program`] rewrites each kernel's instruction
 //! stream into fused superinstructions (disable with `WSE_SIM_NO_FUSE=1`
-//! or [`LinkOptions`]).  Three rewrites run, in order:
+//! or [`LinkOptions`]).  Ten pass units run, in this order; each is
+//! checked (and individually reverted) by the translation validator when
+//! [`LinkOptions::validate`] is on.  No unit decides a dependence from
+//! instruction shape: each states its safety condition as a query on the
+//! dependence core ([`crate::deps`]), named after *Asks*.
 //!
-//! 1. **FMA-chain fusion.** A `Fill(d, c)` followed by a run of
-//!    `Macs(d, d, src_i, coeff_i)` — or a bare run of such `Macs` — is one
-//!    multi-pass reduction: the destination is re-streamed once per
-//!    instruction.  The run collapses into a single [`LinkedInstr::FusedMacs`]
-//!    computing `d[j] = init(j) + Σ coeff_i · src_i[j]` in one sweep over
-//!    `d`.  *Safety:* every source view must be provably disjoint from the
-//!    destination (conservative interval check that extends dynamic views
-//!    by the maximum runtime chunk offset), because the one-pass sweep
+//! 1. **`fuse-mul-add-pairs`** — `t = src · k; d = d + t` with `k` a
+//!    never-written splat buffer becomes `Macs(d, d, src, k)`, the
+//!    spelling the next unit fuses.  *Asks* `views_disjoint`: `src`, `t`, `d`
+//!    pairwise; `dead_after`: the dropped write to `t`.
+//! 2. **`fuse-block`** — a `Fill(d, c)` followed by a run of
+//!    `Macs(d, d, srcᵢ, cᵢ)`, or a bare run, is one multi-pass reduction;
+//!    it collapses into a single [`LinkedInstr::FusedMacs`] computing
+//!    `d[j] = init(j) + Σ cᵢ · srcᵢ[j]` in one sweep.  The one-pass sweep
 //!    must not observe its own writes; the only aliasing permitted is the
-//!    initial accumulator being the destination itself, which reads each
-//!    element before overwriting it.  Chains never cross an instruction
-//!    that is not part of the pattern (an interleaved `Copy` or `Binary`
-//!    is a barrier), and never cross block boundaries.
-//!
-//! 2. **Copy folding.** A `FusedMacs` into an accumulator that is
-//!    immediately copied to an output view (`Copy { dest: out, src: acc }`)
-//!    re-streams the column twice.  When (a) every chain source — and the
-//!    initial accumulator, which keeps feeding the sweep — is disjoint
-//!    from `out`, and (b) the eliminated write to `acc` is *dead* (a
-//!    conservative scan over the program's cyclic execution order — kernel
-//!    by kernel, wrapping through the timestep loop, with field interiors
-//!    always live because they are observable — proves `acc` is fully
-//!    overwritten before it is next read), the chain retargets `out` and
-//!    the `Copy` disappears.
-//!
-//! 3. **Arena coalescing.** Buffers left unreferenced by any instruction,
-//!    receive slot, or snapshot — typically `scratch` and promoted
-//!    coefficient constants once their users fused away, or a folded
-//!    accumulator — are removed and the arena re-packed, shrinking every
-//!    PE's working set.
+//!    initial accumulator being `d` itself, which reads each element
+//!    before overwriting it.  Chains never cross an instruction that is
+//!    not part of the pattern, nor a block boundary.  *Asks* `views_disjoint`:
+//!    every source, and a distinct accumulator, against `d`, dynamic
+//!    views widened by the largest chunk offset.
+//! 3. **`elide-staging`** — a `recv` term reading a staged receive window
+//!    reads the neighbour's column directly ([`SrcRef::Slot`]), and a slot
+//!    nobody reads any more stops being staged.  *Asks* `reaching_writes`: the
+//!    staged copy is the sole write reaching the read; `dead_after`: the
+//!    staged copy itself.
+//! 4. **`flatten-chunks`** — a multi-chunk exchange whose `recv` block
+//!    advances every operand one chunk window per chunk runs as a single
+//!    full-column chunk.  *Asks* `chunk_carried`: no `recv` write is static
+//!    or overlaps a differently placed operand.
+//! 5. **`merge-single-chunk-blocks`** — with one chunk and nothing staged,
+//!    `pre`, `recv` and `done` run back to back, so they concatenate and
+//!    adjacent sweeps over one destination merge.  *Asks* nothing: views
+//!    must be the *same range*, and sources are already disjoint from it.
+//! 6. **`fold-copies`** — a sweep into an accumulator that is immediately
+//!    copied out retargets the output and the `Copy` disappears.
+//!    *Asks* `overlaps`: everything the sweep reads against the output;
+//!    `dead_after`: the dropped write to the accumulator — walking the
+//!    cyclic execution order, chunk loop included, with observable field
+//!    interiors always live.
+//! 7. **`fold-binary-copies`** — the same for an unfused `Binary` and its
+//!    write-back (the product-kernel shape).  *Asks* `overlaps` /
+//!    `views_disjoint`: both sources and the scratch against the output;
+//!    `dead_after`: the scratch.
+//! 8. **`elide-dead-internal-writes`** — a write to a compiler-internal
+//!    double-buffer field that nothing reads is removed.  *Asks* `dead_after`.
+//! 9. **`defer-commits`** — when every write to a transmitted field is a
+//!    trailing write-back, the write-backs move to [`LinkedKernel::commit`]
+//!    and the snapshot capture is elided.  *Asks* `operands().slot_src`: a
+//!    deferred instruction may not read a slot; destination buffers
+//!    against the transmitted fields.
+//! 10. **`coalesce-arena`** — buffers no instruction, receive slot or
+//!     snapshot references are removed and the arena re-packed.
+//!     *Asks* `cycle_events`: every span any step of the cycle touches.
 //!
 //! Every rewrite preserves *bitwise* results: fused sweeps perform the
 //! identical sequence of f32 multiplies and adds per element as the
@@ -74,6 +95,7 @@
 
 use std::collections::HashMap;
 
+use crate::deps::{self, overlaps, views_disjoint, Block, Event, EventKind};
 use crate::exec::ExecError;
 use crate::loader::{BinKind, CommSpec, Instr, LoadedProgram, Src, ViewRef};
 
@@ -101,9 +123,10 @@ pub enum LinkMutation {
 /// Options controlling the link phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkOptions {
-    /// Run the link-time optimizer (FMA-chain fusion, copy folding, arena
-    /// coalescing).  Optimized and unoptimized streams produce bitwise
-    /// identical results; the toggle exists so conformance can prove it.
+    /// Run the link-time optimizer: the ten pass units of the module
+    /// header, from `fuse-mul-add-pairs` to `coalesce-arena`.  Optimized
+    /// and unoptimized streams produce bitwise identical results; the
+    /// toggle exists so conformance can prove it.
     pub optimize: bool,
     /// Dispatch the planned kernels on the widest instruction set the host
     /// supports (see [`crate::kernels::Isa::detect`]).  SIMD-on and
@@ -591,13 +614,6 @@ impl SkipCounts {
     pub fn total(&self) -> usize {
         self.aliasing + self.window_barrier + self.multi_result + self.product_fence
     }
-
-    fn merge(&mut self, other: &SkipCounts) {
-        self.aliasing += other.aliasing;
-        self.window_barrier += other.window_barrier;
-        self.multi_result += other.multi_result;
-        self.product_fence += other.product_fence;
-    }
 }
 
 impl OptStats {
@@ -969,17 +985,9 @@ fn link_view(
 }
 
 // ------------------------------------------------------------------------
-// The link-time optimizer (see module docs for the rewrite rules and
-// their safety conditions).
+// The link-time optimizer (see module docs for the pass units and the
+// dependence query each one's safety argument rests on).
 // ------------------------------------------------------------------------
-
-/// True when the two views cannot touch a common arena element at any
-/// chunk offset.
-pub(crate) fn views_disjoint(a: &LinkedView, b: &LinkedView, max_dyn: usize) -> bool {
-    let (a0, a1) = a.span(max_dyn);
-    let (b0, b1) = b.span(max_dyn);
-    a1 <= b0 || b1 <= a0
-}
 
 /// Runs the optimizer rewrites over every kernel.
 ///
@@ -1042,6 +1050,71 @@ fn optimize_program(linked: &mut LinkedProgram, options: &LinkOptions) {
     linked.stats = stats;
 }
 
+/// One instruction as a peephole rule sees it.
+struct Site<'a> {
+    /// The instruction under the rule.
+    instr: &'a LinkedInstr,
+    /// Its successor in the same block.
+    next: Option<&'a LinkedInstr>,
+    /// Chunk slack of the block's dynamic views (zero outside `recv`).
+    max_dyn: usize,
+    /// The program cycle, for liveness questions.
+    events: &'a [Event],
+    /// Event index of `instr` (`next` is `pos + 1`).
+    pos: usize,
+}
+
+impl Site<'_> {
+    /// Whether the content of `view` is dead once `next` has run, so the
+    /// pair's write to it may be dropped.
+    fn dead_after_next(&self, view: &LinkedView) -> bool {
+        deps::dead_after(self.events, self.pos + 1, view.span(self.max_dyn))
+    }
+}
+
+/// Runs one peephole `rule` over every instruction of every sweep block
+/// until it rewrites nothing.  A rule answers `Some((len, with))` to
+/// replace the `len` instructions starting at the site by `with`; each
+/// rewrite bumps the counter `fired` selects and restarts the scan over
+/// fresh events, because it moves every later position — and takes the
+/// skip tally back to where the pass found it, so only the scan that
+/// rewrites nothing (the fixed point) reports its skip reasons.
+fn rewrite_to_fixpoint(
+    linked: &mut LinkedProgram,
+    stats: &mut OptStats,
+    fired: fn(&mut OptStats) -> &mut usize,
+    rule: impl Fn(&Site<'_>, &mut SkipCounts) -> Option<(usize, Option<LinkedInstr>)>,
+) {
+    let skipped_before = stats.skipped;
+    'rescan: loop {
+        let events = deps::cycle_events(linked);
+        for (pos, event) in events.iter().enumerate() {
+            if event.kind != EventKind::Instr {
+                continue;
+            }
+            let kernel = &mut linked.kernels[event.kernel];
+            let max_dyn = if event.block == Block::Recv { kernel.max_dyn() } else { 0 };
+            let block = match event.block {
+                Block::Pre => &mut kernel.pre,
+                Block::Recv => &mut kernel.recv,
+                Block::Done => &mut kernel.done,
+                Block::Commit => &mut kernel.commit,
+                Block::Exchange => unreachable!("instruction events belong to instruction blocks"),
+            };
+            let i = event.index;
+            let site =
+                Site { instr: &block[i], next: block.get(i + 1), max_dyn, events: &events, pos };
+            if let Some((len, with)) = rule(&site, &mut stats.skipped) {
+                block.splice(i..i + len, with);
+                stats.skipped = skipped_before;
+                *fired(stats) += 1;
+                continue 'rescan;
+            }
+        }
+        return;
+    }
+}
+
 /// Rewrites `t = src * coeffbuf; d = d + t` pairs into
 /// `Macs { dest: d, acc: d, src, coeff }` — the two-instruction spelling a
 /// pipeline with `enable_fmac_fusion=false` emits for every
@@ -1061,13 +1134,8 @@ fn optimize_program(linked: &mut LinkedProgram, options: &LinkOptions) {
 fn fuse_mul_add_pairs(linked: &mut LinkedProgram, stats: &mut OptStats) {
     let layouts = linked.layouts.clone();
     let mut written = vec![false; layouts.len()];
-    for kernel in &linked.kernels {
-        for instr in kernel.pre.iter().chain(&kernel.recv).chain(&kernel.done) {
-            written[buffer_at(&layouts, instr.dest().base).0 as usize] = true;
-        }
-        if let Some(comm) = &kernel.comm {
-            written[buffer_at(&layouts, comm.recv_base as u32).0 as usize] = true;
-        }
+    for write in deps::cycle_events(linked).iter().filter_map(|e| e.write) {
+        written[buffer_at(&layouts, write.0 as u32).0 as usize] = true;
     }
     // Field buffers carry per-element initial conditions, so a view of one
     // is not a splat of its `init` even when no instruction writes it.
@@ -1093,75 +1161,41 @@ fn fuse_mul_add_pairs(linked: &mut LinkedProgram, stats: &mut OptStats) {
             }
         }
     }
-    'rescan: loop {
-        // Skip reasons accumulate into a scratch tally that is only
-        // merged at the fixed point (the iteration that rewrites
-        // nothing), so rescans do not double-count.
-        let mut skipped = SkipCounts::default();
-        let (events, position) = program_events(linked);
-        for k in 0..linked.kernels.len() {
-            let max_dyn = linked.kernels[k].max_dyn();
-            for block_index in 0..3 {
-                let block = match block_index {
-                    0 => &linked.kernels[k].pre,
-                    1 => &linked.kernels[k].recv,
-                    _ => &linked.kernels[k].done,
-                };
-                for i in 0..block.len().saturating_sub(1) {
-                    let LinkedInstr::Binary { kind: BinKind::Mul, dest: t, a, b } = &block[i]
-                    else {
-                        continue;
-                    };
-                    let LinkedInstr::Binary { kind: BinKind::Add, dest: d, a: x, b: y } =
-                        &block[i + 1]
-                    else {
-                        continue;
-                    };
-                    // The add must accumulate the scratch into its own
-                    // destination (either operand order).
-                    let accumulates = (x == t && y == d) || (y == t && x == d);
-                    if !accumulates {
-                        continue;
-                    }
-                    let (src, coeff) = match (constant_of(b), constant_of(a)) {
-                        (Some(c), _) => (*a, c),
-                        (_, Some(c)) => (*b, c),
-                        _ => {
-                            // Both operands read written (data) buffers: a
-                            // decomposed product term, fenced out.
-                            skipped.product_fence += 1;
-                            continue;
-                        }
-                    };
-                    if !views_disjoint(&src, d, max_dyn)
-                        || !views_disjoint(t, d, max_dyn)
-                        || !views_disjoint(t, &src, max_dyn)
-                    {
-                        skipped.aliasing += 1;
-                        continue;
-                    }
-                    // Dropping the scratch write requires it to be dead.
-                    let pos = position[&(k, block_index, i + 1)];
-                    if !write_is_dead(&events, pos, t.span(max_dyn)) {
-                        skipped.multi_result += 1;
-                        continue;
-                    }
-                    let d = *d;
-                    let block = match block_index {
-                        0 => &mut linked.kernels[k].pre,
-                        1 => &mut linked.kernels[k].recv,
-                        _ => &mut linked.kernels[k].done,
-                    };
-                    block[i] = LinkedInstr::Macs { dest: d, acc: d, src, coeff };
-                    block.remove(i + 1);
-                    stats.binary_macs_fused += 1;
-                    continue 'rescan;
-                }
-            }
+    let rule = |site: &Site<'_>, skipped: &mut SkipCounts| {
+        let LinkedInstr::Binary { kind: BinKind::Mul, dest: t, a, b } = site.instr else {
+            return None;
+        };
+        let Some(LinkedInstr::Binary { kind: BinKind::Add, dest: d, a: x, b: y }) = site.next
+        else {
+            return None;
+        };
+        // The add must accumulate the scratch into its own destination
+        // (either operand order).
+        if !((x == t && y == d) || (y == t && x == d)) {
+            return None;
         }
-        stats.skipped.merge(&skipped);
-        return;
-    }
+        let (src, coeff) = match (constant_of(b), constant_of(a)) {
+            (Some(c), _) => (*a, c),
+            (_, Some(c)) => (*b, c),
+            _ => {
+                // Both operands read written (data) buffers: a decomposed
+                // product term, fenced out.
+                skipped.product_fence += 1;
+                return None;
+            }
+        };
+        let disjoint = |p: &LinkedView, q: &LinkedView| views_disjoint(p, q, site.max_dyn);
+        if !disjoint(&src, d) || !disjoint(t, d) || !disjoint(t, &src) {
+            skipped.aliasing += 1;
+            return None;
+        }
+        if !site.dead_after_next(t) {
+            skipped.multi_result += 1;
+            return None;
+        }
+        Some((2, Some(LinkedInstr::Macs { dest: *d, acc: *d, src, coeff })))
+    };
+    rewrite_to_fixpoint(linked, stats, |s| &mut s.binary_macs_fused, rule);
 }
 
 /// Removes writes to internal double-buffer fields that the cyclic
@@ -1182,51 +1216,29 @@ fn elide_dead_internal_writes(linked: &mut LinkedProgram, stats: &mut OptStats) 
         return;
     }
     let layouts = linked.layouts.clone();
-    'rescan: loop {
-        let (events, position) = program_events(linked);
-        for k in 0..linked.kernels.len() {
-            let max_dyn = linked.kernels[k].max_dyn();
-            for block_index in 0..3 {
-                let block = match block_index {
-                    0 => &linked.kernels[k].pre,
-                    1 => &linked.kernels[k].recv,
-                    _ => &linked.kernels[k].done,
-                };
-                for i in 0..block.len() {
-                    let dest = block[i].dest();
-                    if !internal.contains(&buffer_at(&layouts, dest.base)) {
-                        continue;
-                    }
-                    let pos = position[&(k, block_index, i)];
-                    if !write_is_dead(&events, pos, dest.span(max_dyn)) {
-                        continue;
-                    }
-                    let block = match block_index {
-                        0 => &mut linked.kernels[k].pre,
-                        1 => &mut linked.kernels[k].recv,
-                        _ => &mut linked.kernels[k].done,
-                    };
-                    block.remove(i);
-                    stats.dead_writes_elided += 1;
-                    continue 'rescan;
-                }
-            }
-        }
-        return;
-    }
+    let rule = |site: &Site<'_>, _: &mut SkipCounts| {
+        let dest = site.instr.dest();
+        let dead = internal.contains(&buffer_at(&layouts, dest.base))
+            && deps::dead_after(site.events, site.pos, dest.span(site.max_dyn));
+        dead.then_some((1, None))
+    };
+    rewrite_to_fixpoint(linked, stats, |s| &mut s.dead_writes_elided, rule);
 }
 
 /// Collapses a multi-chunk exchange into a single full-column chunk when
 /// the chunks are provably independent: every receive slot's staging was
-/// elided, and every receive-callback operand advances with the chunk
-/// offset over a contiguous window (dynamic arena views and slot reads of
-/// exactly one chunk, starting at the window base).  Executing chunk `c`
-/// then touches exactly elements `[c·chunk, (c+1)·chunk)` of each view, so
-/// running all chunks as one sweep performs the identical per-element
-/// operation sequence — bitwise equal, with `num_chunks − 1` fewer
-/// dispatches per PE.
+/// elided, every receive-callback operand advances with the chunk offset
+/// over a contiguous window (dynamic arena views and slot reads of exactly
+/// one chunk, starting at the window base), and the dependence core finds
+/// no dependence carried between chunks ([`deps::chunk_carried`]).
+/// Executing chunk `c` then touches exactly elements
+/// `[c·chunk, (c+1)·chunk)` of each view and never what another chunk
+/// wrote, so running all chunks as one sweep performs the identical
+/// per-element operation sequence — bitwise equal, with `num_chunks − 1`
+/// fewer dispatches per PE.
 fn flatten_chunks(linked: &mut LinkedProgram, stats: &mut OptStats) {
-    for kernel in &mut linked.kernels {
+    let events = deps::cycle_events(linked);
+    for (k, kernel) in linked.kernels.iter_mut().enumerate() {
         let Some(comm) = &mut kernel.comm else { continue };
         if comm.num_chunks <= 1 || comm.slots.iter().any(|s| s.staged) {
             continue;
@@ -1235,27 +1247,21 @@ fn flatten_chunks(linked: &mut LinkedProgram, stats: &mut OptStats) {
         if chunk == 0 {
             continue;
         }
-        let view_ok = |v: &LinkedView| v.dynamic && v.len == chunk;
-        // Only fused sweeps qualify: their operands are proven disjoint
-        // from the destination, so no chunk can observe another chunk's
-        // writes.  The scratch-semantics instructions (`Copy`, `Binary`,
-        // `Macs`) may alias across chunk boundaries, where chunk-by-chunk
-        // and whole-column execution genuinely differ.
-        let flattenable = kernel.recv.iter().all(|instr| match instr {
-            LinkedInstr::FusedMacs { dest, init, terms } => {
-                view_ok(dest)
-                    && match init {
-                        FusedInit::Fill(_) => false, // re-applied per chunk, not per column
-                        FusedInit::Acc(a) => view_ok(a),
-                    }
-                    && terms.iter().all(|t| match &t.src {
-                        SrcRef::Arena(v) => view_ok(v),
-                        SrcRef::Slot { offset, len, .. } => *offset == 0 && *len == chunk,
-                    })
-            }
-            _ => false,
+        // Only fused sweeps qualify: the scratch-semantics instructions
+        // (`Copy`, `Binary`, `Macs`) read a whole chunk before writing it,
+        // which a whole-column run does not reproduce.
+        let flattenable = kernel.recv.iter().all(|instr| {
+            let LinkedInstr::FusedMacs { init, terms, .. } = instr else { return false };
+            let ops = instr.operands();
+            std::iter::once(ops.dest).chain(ops.reads).all(|v| v.dynamic && v.len == chunk)
+                // A `Fill` init is re-applied per chunk, not per column.
+                && matches!(init, FusedInit::Acc(_))
+                && terms.iter().all(|t| match t.src {
+                    SrcRef::Arena(_) => true,
+                    SrcRef::Slot { offset, len, .. } => offset == 0 && len == chunk,
+                })
         });
-        if !flattenable {
+        if !flattenable || deps::chunk_carried(&events, k) {
             continue;
         }
         let col = comm.col_len as u32;
@@ -1369,23 +1375,16 @@ fn defer_commits(linked: &mut LinkedProgram, stats: &mut OptStats) {
         let snapped: Vec<BufferId> = comm.snap_fields.iter().map(|f| f.buffer).collect();
         let writes_snapped =
             |instr: &LinkedInstr| snapped.contains(&buffer_at(&layouts, instr.dest().base));
-        // Deferred commits run after the sweeps, against the live arenas:
-        // a direct slot read ([`SrcRef::Slot`]) inside one would observe
-        // *post*-commit neighbor state (and the run phase does not even
-        // resolve slot columns in the commit pass), so such instructions
-        // can never be deferred.
-        let has_slot_src = |instr: &LinkedInstr| match instr {
-            LinkedInstr::FusedMacs { terms, .. } => {
-                terms.iter().any(|t| matches!(t.src, SrcRef::Slot { .. }))
-            }
-            _ => false,
-        };
         // The commit suffix: trailing `done` instructions whose destination
-        // is a snapshotted buffer.
+        // is a snapshotted buffer.  Deferred commits run after the sweeps,
+        // against the live arenas: a direct slot read ([`SrcRef::Slot`])
+        // inside one would observe *post*-commit neighbor state (and the
+        // run phase does not even resolve slot columns in the commit
+        // pass), so such instructions can never be deferred.
         let mut split = kernel.done.len();
         while split > 0
             && writes_snapped(&kernel.done[split - 1])
-            && !has_slot_src(&kernel.done[split - 1])
+            && !kernel.done[split - 1].operands().slot_src
         {
             split -= 1;
         }
@@ -1412,56 +1411,57 @@ fn defer_commits(linked: &mut LinkedProgram, stats: &mut OptStats) {
 /// never observed afterwards — the run phase skips those copies entirely.
 ///
 /// The rewrite targets static views that lie fully inside one slot's chunk
-/// window of the receive buffer: the staged copy holds exactly the
-/// snapshot elements `[offset + chunk · chunk_size, … + len)` of the
-/// slot's column (zeros outside the grid), so the direct read is bitwise
-/// identical.  The staging decision reuses the cyclic liveness scan: a
-/// slot keeps its copy as long as any instruction still reads its window
-/// before the next full overwrite.
+/// window of the receive buffer, and only where the staged copy is the
+/// sole write reaching the read ([`deps::reaching_writes`]): the window
+/// then holds exactly the snapshot elements
+/// `[offset + chunk · chunk_size, … + len)` of the slot's column (zeros
+/// outside the grid), so the direct read is bitwise identical.  A `recv`
+/// instruction that writes into the window ahead of the read makes the
+/// window ordinary storage, and the read stays an arena read.  The staging
+/// decision is the cyclic liveness scan ([`deps::dead_after`]): a slot
+/// keeps its copy as long as any instruction still reads its window
+/// before the next full overwrite — and whenever an instruction of its own
+/// kernel writes the window, which makes it that kernel's scratch storage
+/// rather than an exchange buffer this pass may retire.
 fn elide_staging(linked: &mut LinkedProgram, stats: &mut OptStats) {
-    for kernel in &mut linked.kernels {
-        let Some(comm) = &kernel.comm else { continue };
-        let chunk = comm.chunk_size;
-        if chunk == 0 || comm.num_chunks == 0 {
+    let events = deps::cycle_events(linked);
+    for (pos, event) in events.iter().enumerate() {
+        if (event.kind, event.block) != (EventKind::Instr, Block::Recv) {
             continue;
         }
-        let recv_base = comm.recv_base;
-        let num_slots = comm.slots.len();
-        for instr in &mut kernel.recv {
-            let LinkedInstr::FusedMacs { terms, .. } = instr else { continue };
-            for term in terms {
-                let SrcRef::Arena(v) = &term.src else { continue };
-                if v.dynamic || v.len == 0 {
-                    continue;
-                }
-                let (start, len) = (v.base as usize, v.len as usize);
-                if start < recv_base || start + len > recv_base + num_slots * chunk {
-                    continue;
-                }
-                let slot = (start - recv_base) / chunk;
-                let offset = start - recv_base - slot * chunk;
-                if offset + len > chunk {
-                    // Straddles two slots: the windows belong to different
-                    // neighbors, so the read cannot be redirected.
-                    continue;
-                }
-                term.src =
-                    SrcRef::Slot { slot: slot as u32, offset: offset as u32, len: len as u32 };
+        let recv = &mut linked.kernels[event.kernel].recv;
+        let LinkedInstr::FusedMacs { terms, .. } = &mut recv[event.index] else { continue };
+        for term in terms {
+            let SrcRef::Arena(v) = &term.src else { continue };
+            if v.dynamic || v.len == 0 {
+                continue;
+            }
+            let span = v.span(0);
+            // One reaching write: this kernel's staged copy of a window
+            // that holds the whole read (a read straddling two windows
+            // sees two neighbors and cannot be redirected).
+            let [w] = deps::reaching_writes(&events, pos, span)[..] else { continue };
+            let (stage, Some(window)) = (&events[w], events[w].write) else { continue };
+            if (stage.kind, stage.kernel) == (EventKind::Staging, event.kernel)
+                && window.0 <= span.0
+                && span.1 <= window.1
+            {
+                let (slot, offset) = (stage.index as u32, (span.0 - window.0) as u32);
+                term.src = SrcRef::Slot { slot, offset, len: v.len };
             }
         }
     }
-    let (events, position) = program_events(linked);
-    for (k, kernel) in linked.kernels.iter_mut().enumerate() {
-        let Some(comm) = &mut kernel.comm else { continue };
-        let chunk = comm.chunk_size;
-        let recv_base = comm.recv_base;
-        for (slot, spec) in comm.slots.iter_mut().enumerate() {
-            let Some(&stage_pos) = position.get(&(k, 3, slot)) else { continue };
-            let range = (recv_base + slot * chunk, recv_base + (slot + 1) * chunk);
-            if write_is_dead(&events, stage_pos, range) {
-                spec.staged = false;
-                stats.slots_elided += 1;
-            }
+    let events = deps::cycle_events(linked);
+    for (pos, event) in events.iter().enumerate() {
+        let (EventKind::Staging, Some(window)) = (event.kind, event.write) else { continue };
+        let scratch = events.iter().any(|e| {
+            (e.kind, e.kernel) == (EventKind::Instr, event.kernel)
+                && e.write.is_some_and(|w| overlaps(w, window))
+        });
+        if !scratch && deps::dead_after(&events, pos, window) {
+            let comm = linked.kernels[event.kernel].comm.as_mut().expect("staging has an exchange");
+            comm.slots[event.index].staged = false;
+            stats.slots_elided += 1;
         }
     }
 }
@@ -1555,275 +1555,58 @@ fn fuse_block(
     out
 }
 
-/// One step of the program's cyclic execution order, for the conservative
-/// liveness scan behind copy folding.
-struct Event {
-    /// Arena intervals the step may read (dynamic views extended).
-    reads: Vec<(usize, usize)>,
-    /// Interval the step writes, and whether the write fully covers it on
-    /// every execution (dynamic writes shift per chunk, so they never
-    /// cover).
-    write: Option<(usize, usize, bool)>,
-}
-
-fn instr_event(instr: &LinkedInstr, max_dyn: usize) -> Event {
-    let read = |v: &LinkedView| v.span(max_dyn);
-    let write = |v: &LinkedView| {
-        let (start, end) = v.span(max_dyn);
-        Some((start, end, !v.dynamic))
-    };
-    match instr {
-        LinkedInstr::Fill { dest, .. } => Event { reads: Vec::new(), write: write(dest) },
-        LinkedInstr::Copy { dest, src } => Event { reads: vec![read(src)], write: write(dest) },
-        LinkedInstr::Binary { dest, a, b, .. } => {
-            Event { reads: vec![read(a), read(b)], write: write(dest) }
-        }
-        LinkedInstr::Macs { dest, acc, src, .. } => {
-            Event { reads: vec![read(acc), read(src)], write: write(dest) }
-        }
-        LinkedInstr::FusedMacs { dest, init, terms } => {
-            // Slot sources read the snapshot, not the arena, so they do
-            // not appear in arena liveness.
-            let mut reads: Vec<(usize, usize)> = terms
-                .iter()
-                .filter_map(|t| match &t.src {
-                    SrcRef::Arena(v) => Some(read(v)),
-                    SrcRef::Slot { .. } => None,
-                })
-                .collect();
-            if let FusedInit::Acc(a) = init {
-                reads.push(read(a));
-            }
-            Event { reads, write: write(dest) }
-        }
+/// The condition the two copy folds share: the instruction at the site
+/// writes `t`, `next` copies `t` to `out`, nothing the instruction touches
+/// — its sources, an accumulator init, `t` itself — overlaps `out` (slot
+/// sources read the snapshot and cannot alias an arena view), and the
+/// eliminated write to `t` is provably dead after the copy.  Returns `out`.
+fn folds_into_copy(site: &Site<'_>, skipped: &mut SkipCounts) -> Option<LinkedView> {
+    let t = site.instr.dest();
+    let Some(LinkedInstr::Copy { dest: out, src }) = site.next else { return None };
+    if src != t {
+        return None;
     }
-}
-
-/// Flattens the program into its cyclic execution order: per kernel the
-/// snapshot reads, the `pre` block, the receive staging writes and `recv`
-/// block (once — repetition per chunk does not change first-read /
-/// first-cover order), then `done`; one trailing event keeps every field
-/// interior live (fields are observable between any two timesteps).
-/// Returns the events plus the event index of each instruction, keyed by
-/// `(kernel, block, index)` with blocks `0 = pre`, `1 = recv`, `2 = done`.
-/// Event index of each instruction, keyed by `(kernel, block, index)`
-/// with blocks `0 = pre`, `1 = recv`, `2 = done`, `3 = staging slot`.
-type EventPositions = HashMap<(usize, usize, usize), usize>;
-
-fn program_events(linked: &LinkedProgram) -> (Vec<Event>, EventPositions) {
-    let mut events = Vec::new();
-    let mut position = HashMap::new();
-    for (k, kernel) in linked.kernels.iter().enumerate() {
-        let max_dyn = kernel.max_dyn();
-        if let Some(comm) = &kernel.comm {
-            let reads =
-                comm.snap_fields.iter().map(|f| (f.src_base, f.src_base + f.copy_len)).collect();
-            events.push(Event { reads, write: None });
-        }
-        for (i, instr) in kernel.pre.iter().enumerate() {
-            position.insert((k, 0, i), events.len());
-            events.push(instr_event(instr, 0));
-        }
-        if let Some(comm) = &kernel.comm {
-            for (slot, spec) in comm.slots.iter().enumerate() {
-                if !spec.staged {
-                    continue;
-                }
-                let start = comm.recv_base + slot * comm.chunk_size;
-                position.insert((k, 3, slot), events.len());
-                events.push(Event {
-                    reads: Vec::new(),
-                    write: Some((start, start + comm.chunk_size, true)),
-                });
-            }
-        }
-        for (i, instr) in kernel.recv.iter().enumerate() {
-            position.insert((k, 1, i), events.len());
-            events.push(instr_event(instr, max_dyn));
-        }
-        for (i, instr) in kernel.done.iter().enumerate() {
-            position.insert((k, 2, i), events.len());
-            events.push(instr_event(instr, 0));
-        }
+    let (event, out_span) = (&site.events[site.pos], out.span(site.max_dyn));
+    if event.reads.iter().chain(&event.write).any(|&touched| overlaps(touched, out_span)) {
+        skipped.aliasing += 1;
+        return None;
     }
-    // Observable fields are live between any two timesteps; internal
-    // double-buffer fields are not observable, so their liveness is fully
-    // described by the explicit instruction and snapshot events above.
-    let field_reads = linked
-        .field_ids
-        .iter()
-        .enumerate()
-        .filter(|&(fi, _)| !linked.field_internal.get(fi).copied().unwrap_or(false))
-        .map(|(_, id)| {
-            let layout = &linked.layouts[id.0 as usize];
-            let start = layout.base + (linked.z_halo as usize).min(layout.len);
-            (start, (start + linked.z_dim as usize).min(layout.base + layout.len))
-        })
-        .collect();
-    events.push(Event { reads: field_reads, write: None });
-    (events, position)
-}
-
-/// True when a write to `range` issued just before `events[after + 1]` is
-/// never observed: scanning the cyclic execution order, the range is fully
-/// overwritten before any overlapping read.
-fn write_is_dead(events: &[Event], after: usize, range: (usize, usize)) -> bool {
-    let n = events.len();
-    for step in 1..=n {
-        let event = &events[(after + step) % n];
-        if event.reads.iter().any(|&(r0, r1)| r0 < range.1 && range.0 < r1) {
-            return false;
-        }
-        if let Some((w0, w1, covers)) = event.write {
-            if covers && w0 <= range.0 && w1 >= range.1 {
-                return true;
-            }
-        }
+    if !site.dead_after_next(t) {
+        skipped.multi_result += 1;
+        return None;
     }
-    true
+    Some(*out)
 }
 
 /// Folds `Copy { dest: out, src: acc }` instructions into the immediately
-/// preceding fused sweep over `acc`, retargeting the sweep at `out`, when
-/// the sweep's sources stay disjoint from `out` and the eliminated write
-/// to `acc` is provably dead (see module docs).
+/// preceding fused sweep over `acc`, retargeting the sweep at `out` (see
+/// [`folds_into_copy`] and the module docs).
 fn fold_copies(linked: &mut LinkedProgram, stats: &mut OptStats) {
-    'rescan: loop {
-        let mut skipped = SkipCounts::default();
-        let (events, position) = program_events(linked);
-        for k in 0..linked.kernels.len() {
-            let max_dyn = linked.kernels[k].max_dyn();
-            for block_index in 0..3 {
-                let block = match block_index {
-                    0 => &linked.kernels[k].pre,
-                    1 => &linked.kernels[k].recv,
-                    _ => &linked.kernels[k].done,
-                };
-                for i in 0..block.len().saturating_sub(1) {
-                    let LinkedInstr::FusedMacs { dest, init, terms } = &block[i] else { continue };
-                    let LinkedInstr::Copy { dest: out, src } = &block[i + 1] else { continue };
-                    if src != dest {
-                        continue;
-                    }
-                    // The retargeted sweep writes `out` while reading its
-                    // sources and (for an accumulator init) the old
-                    // destination, so all of them must be disjoint from
-                    // `out` (slot sources read the snapshot and cannot
-                    // alias any arena view).
-                    let sources_safe = terms.iter().all(|t| match &t.src {
-                        SrcRef::Arena(v) => views_disjoint(v, out, max_dyn),
-                        SrcRef::Slot { .. } => true,
-                    });
-                    let init_safe = match init {
-                        FusedInit::Fill(_) => true,
-                        FusedInit::Acc(a) => views_disjoint(a, out, max_dyn),
-                    };
-                    if !sources_safe || !init_safe {
-                        skipped.aliasing += 1;
-                        continue;
-                    }
-                    let copy_pos = position[&(k, block_index, i + 1)];
-                    if !write_is_dead(&events, copy_pos, dest.span(max_dyn)) {
-                        skipped.multi_result += 1;
-                        continue;
-                    }
-                    let out = *out;
-                    let block = match block_index {
-                        0 => &mut linked.kernels[k].pre,
-                        1 => &mut linked.kernels[k].recv,
-                        _ => &mut linked.kernels[k].done,
-                    };
-                    let LinkedInstr::FusedMacs { dest, .. } = &mut block[i] else { unreachable!() };
-                    *dest = out;
-                    block.remove(i + 1);
-                    stats.copies_folded += 1;
-                    continue 'rescan;
-                }
-            }
-        }
-        stats.skipped.merge(&skipped);
-        return;
-    }
+    let rule = |site: &Site<'_>, skipped: &mut SkipCounts| {
+        let LinkedInstr::FusedMacs { init, terms, .. } = site.instr else { return None };
+        let dest = folds_into_copy(site, skipped)?;
+        Some((2, Some(LinkedInstr::FusedMacs { dest, init: *init, terms: terms.clone() })))
+    };
+    rewrite_to_fixpoint(linked, stats, |s| &mut s.copies_folded, rule);
 }
 
 /// Folds `Binary { dest: t, .. }` + `Copy { dest: out, src: t }` pairs by
-/// retargeting the binary at `out`, when both sources and `t` itself are
-/// disjoint from `out` and the eliminated write to `t` is provably dead.
-/// This is the write-back shape of a product kernel (`acc = a · b; out =
-/// acc`); per element the retargeted instruction performs the identical
-/// operation, so results are bitwise unchanged.
+/// retargeting the binary at `out` (see [`folds_into_copy`]).  This is the
+/// write-back shape of a product kernel (`acc = a · b; out = acc`); per
+/// element the retargeted instruction performs the identical operation, so
+/// results are bitwise unchanged.
 fn fold_binary_copies(linked: &mut LinkedProgram, stats: &mut OptStats) {
-    'rescan: loop {
-        let mut skipped = SkipCounts::default();
-        let (events, position) = program_events(linked);
-        for k in 0..linked.kernels.len() {
-            let max_dyn = linked.kernels[k].max_dyn();
-            for block_index in 0..3 {
-                let block = match block_index {
-                    0 => &linked.kernels[k].pre,
-                    1 => &linked.kernels[k].recv,
-                    _ => &linked.kernels[k].done,
-                };
-                for i in 0..block.len().saturating_sub(1) {
-                    let LinkedInstr::Binary { dest: t, a, b, .. } = &block[i] else { continue };
-                    let LinkedInstr::Copy { dest: out, src } = &block[i + 1] else { continue };
-                    if src != t {
-                        continue;
-                    }
-                    if !views_disjoint(a, out, max_dyn)
-                        || !views_disjoint(b, out, max_dyn)
-                        || !views_disjoint(t, out, max_dyn)
-                    {
-                        skipped.aliasing += 1;
-                        continue;
-                    }
-                    let copy_pos = position[&(k, block_index, i + 1)];
-                    if !write_is_dead(&events, copy_pos, t.span(max_dyn)) {
-                        skipped.multi_result += 1;
-                        continue;
-                    }
-                    let out = *out;
-                    let block = match block_index {
-                        0 => &mut linked.kernels[k].pre,
-                        1 => &mut linked.kernels[k].recv,
-                        _ => &mut linked.kernels[k].done,
-                    };
-                    let LinkedInstr::Binary { dest, .. } = &mut block[i] else { unreachable!() };
-                    *dest = out;
-                    block.remove(i + 1);
-                    stats.binary_copies_folded += 1;
-                    continue 'rescan;
-                }
-            }
-        }
-        stats.skipped.merge(&skipped);
-        return;
-    }
+    let rule = |site: &Site<'_>, skipped: &mut SkipCounts| {
+        let LinkedInstr::Binary { kind, a, b, .. } = site.instr else { return None };
+        let dest = folds_into_copy(site, skipped)?;
+        Some((2, Some(LinkedInstr::Binary { kind: *kind, dest, a: *a, b: *b })))
+    };
+    rewrite_to_fixpoint(linked, stats, |s| &mut s.binary_copies_folded, rule);
 }
 
-/// Every view an instruction touches (destination first).
-fn instr_views(instr: &LinkedInstr) -> Vec<&LinkedView> {
-    match instr {
-        LinkedInstr::Fill { dest, .. } => vec![dest],
-        LinkedInstr::Copy { dest, src } => vec![dest, src],
-        LinkedInstr::Binary { dest, a, b, .. } => vec![dest, a, b],
-        LinkedInstr::Macs { dest, acc, src, .. } => vec![dest, acc, src],
-        LinkedInstr::FusedMacs { dest, init, terms } => {
-            let mut views = vec![dest];
-            if let FusedInit::Acc(a) = init {
-                views.push(a);
-            }
-            views.extend(terms.iter().filter_map(|t| match &t.src {
-                SrcRef::Arena(v) => Some(v),
-                SrcRef::Slot { .. } => None,
-            }));
-            views
-        }
-    }
-}
-
-/// Mutable variant of [`instr_views`] (arena views only — slot sources
-/// address the snapshot, which coalescing never moves).
+/// Every arena view of an instruction, mutably, destination first: the
+/// `&mut` twin of [`LinkedInstr::operands`] (slot sources address the
+/// snapshot, which neither coalescing nor flattening moves).
 fn instr_views_mut(instr: &mut LinkedInstr) -> Vec<&mut LinkedView> {
     match instr {
         LinkedInstr::Fill { dest, .. } => vec![dest],
@@ -1855,19 +1638,15 @@ fn coalesce_arena(linked: &mut LinkedProgram, stats: &mut OptStats) {
     for id in &linked.field_ids {
         used[id.0 as usize] = true;
     }
-    for kernel in &linked.kernels {
-        for instr in kernel.pre.iter().chain(&kernel.recv).chain(&kernel.done).chain(&kernel.commit)
-        {
-            for view in instr_views(instr) {
-                used[buffer_at(&old_layouts, view.base).0 as usize] = true;
-            }
+    // Everything any step of the cycle touches (instruction operands and
+    // the transmitted columns), plus every exchange's receive buffer.
+    for event in deps::cycle_events(linked) {
+        for span in event.reads.iter().chain(&event.write) {
+            used[buffer_at(&old_layouts, span.0 as u32).0 as usize] = true;
         }
-        if let Some(comm) = &kernel.comm {
-            used[buffer_at(&old_layouts, comm.recv_base as u32).0 as usize] = true;
-            for field in &comm.snap_fields {
-                used[field.buffer.0 as usize] = true;
-            }
-        }
+    }
+    for comm in linked.kernels.iter().filter_map(|k| k.comm.as_ref()) {
+        used[buffer_at(&old_layouts, comm.recv_base as u32).0 as usize] = true;
     }
     if used.iter().all(|&u| u) {
         return;

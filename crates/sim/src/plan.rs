@@ -19,7 +19,7 @@
 //! - **Scratch elision.** Unfused [`LinkedInstr::Binary`] /
 //!   [`LinkedInstr::Macs`] ops historically computed into a scratch
 //!   buffer and copied back, preserving read-all-then-write semantics for
-//!   aliasing views.  The planner uses the linker's view arithmetic
+//!   aliasing views.  The planner uses the dependence core's view arithmetic
 //!   ([`views_disjoint`]) to prove, per source, that the view is either
 //!   *exactly* the destination (elementwise in-place is then safe: element
 //!   `j` reads only index `j`) or disjoint from it at every chunk offset —
@@ -31,10 +31,9 @@
 //!   bits are identical; [`PlanCounts`] reports which path every op took
 //!   so conformance and benches can force and observe each.
 
+use crate::deps::views_disjoint;
 use crate::kernels::{kernel_set, Isa, KernelSet, MacsFn, MapFn, SweepRowFn, MAX_ARITY};
-use crate::link::{
-    views_disjoint, FusedInit, FusedTerm, LinkedInstr, LinkedKernel, LinkedProgram, LinkedView,
-};
+use crate::link::{FusedInit, FusedTerm, LinkedInstr, LinkedKernel, LinkedProgram, LinkedView};
 use crate::loader::BinKind;
 
 /// Observability counters of one planning run (copied into

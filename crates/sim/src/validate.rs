@@ -137,8 +137,7 @@ fn capture_snapshots(grid: &AbstractGrid, kernel: &LinkedKernel) -> Vec<Vec<Vec<
                 .iter()
                 .map(|f| {
                     let mut col = vec![zero; comm.col_len];
-                    col[..f.copy_len]
-                        .copy_from_slice(&grid.pe(pe)[f.src_base..f.src_base + f.copy_len]);
+                    col[..f.copy_len].copy_from_slice(&grid.pe(pe)[f.src_base..][..f.copy_len]);
                     col
                 })
                 .collect()

@@ -26,7 +26,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 use wse_frontends::ast::StencilProgram;
 use wse_sim::{
     max_abs_difference, run_reference, ExecErrorKind, FaultOptions, GridState, InterpGridSim,
-    LinkOptions, RecoveryOptions, RecoveryStats, WseGridSim, INJECTED_BAND_PANIC,
+    LinkOptions, LoadedProgram, OptStats, RecoveryOptions, RecoveryStats, WseGridSim,
+    INJECTED_BAND_PANIC,
 };
 use wse_stencil::{CompileService, Compiler, CslArtifact, PipelineOptions};
 
@@ -493,6 +494,33 @@ pub fn case_product_evidence(case: &ConformanceCase) -> Option<ProductEvidence> 
             .count(),
         stats: linked.stats().clone(),
     })
+}
+
+/// Checks that the link optimizer is transparent on a loaded program —
+/// hand-built ones included, which `run_case` cannot take — where release
+/// users run it: the optimized stream with the translation validator
+/// *off* ends bitwise equal to the unoptimized one, and with the validator
+/// on no pass needs its revert.  Returns the validator-off stream's
+/// optimizer report, or what diverged.
+pub fn check_optimizer_transparent(loaded: &LoadedProgram) -> Result<OptStats, String> {
+    let run = |optimize, validate| {
+        let options = LinkOptions { optimize, validate, ..LinkOptions::default() };
+        let mut sim = WseGridSim::with_options(loaded.clone(), options).map_err(|e| e.message)?;
+        sim.set_threads(1);
+        sim.run(None).map_err(|e| e.message)?;
+        let state = sim.grid_state().map_err(|e| e.message)?;
+        Ok::<_, String>((state, sim.linked().stats().clone()))
+    };
+    let (reference, _) = run(false, false)?;
+    let (optimized, stats) = run(true, false)?;
+    if let Some(difference) = bitwise_difference(&reference, &optimized) {
+        return Err(format!("optimized stream diverges: {difference}\n{stats:?}"));
+    }
+    let (_, validated) = run(true, true)?;
+    match validated.rejected_passes.as_slice() {
+        [] => Ok(stats),
+        rejected => Err(format!("the validator reverted {rejected:?}")),
+    }
 }
 
 /// Returns a description of the first bitwise difference between two grid

@@ -786,3 +786,140 @@ mod simd_tails {
         assert_eq!(d, [7.0f32; 4]);
     }
 }
+
+/// Hand-built `LoadedProgram`s (a supported entry point: `wse-perf` builds
+/// its workloads this way) that the stencil generator cannot produce: the
+/// receive callback writes into the receive window, or sweeps overlap at
+/// shifted bases.  Two link rewrites used to decide from instruction shape
+/// alone and silently miscompiled these with the validator off — the
+/// release default.  Every case is pinned three ways: `validate: false`
+/// is bitwise equal to the unoptimized stream, the rewrite counter shows
+/// the pass declined (or, for the safe twin, still fired), and under
+/// `validate: true` the un-mutated optimizer never needs a revert.
+mod hand_built_dependences {
+    use testkit::conformance::check_optimizer_transparent;
+    use wse_sim::loader::{
+        BufferDecl, CommSpec, Instr, LoadedKernel, LoadedProgram, SlotSpec, Src, ViewRef,
+    };
+    use wse_sim::OptStats;
+
+    fn view(buffer: &str, offset: i64, len: i64, dynamic: bool) -> ViewRef {
+        ViewRef { buffer: buffer.into(), offset, dynamic, len }
+    }
+
+    fn macs(dest: ViewRef, src: ViewRef, coeff: f32) -> Instr {
+        Instr::Macs { acc: dest.clone(), dest, src, coeff }
+    }
+
+    /// A 2×1 grid of one kernel exchanging field `a` with the +x
+    /// neighbour in `num_chunks` chunks of 4.
+    fn program(
+        buffers: &[(&str, i64)],
+        num_chunks: i64,
+        pre: Vec<Instr>,
+        recv: Vec<Instr>,
+        done: Vec<Instr>,
+    ) -> LoadedProgram {
+        LoadedProgram {
+            width: 2,
+            height: 1,
+            z_dim: 4 * num_chunks,
+            z_halo: 0,
+            timesteps: 2,
+            buffers: buffers
+                .iter()
+                .map(|&(name, len)| BufferDecl { name: name.into(), len, init: 0.0 })
+                .collect(),
+            field_buffers: vec!["a".into()],
+            internal_fields: Vec::new(),
+            kernels: vec![LoadedKernel {
+                name: "seq_kernel0".into(),
+                pre,
+                comm: Some(CommSpec {
+                    num_chunks,
+                    chunk_size: 4,
+                    slots: vec![SlotSpec { field: "a".into(), dx: 1, dy: 0 }],
+                    fields: vec!["a".into()],
+                    pattern: 1,
+                }),
+                recv,
+                done,
+            }],
+        }
+    }
+
+    /// Asserts the three pins above and returns the optimizer's report.
+    fn assert_transparent(loaded: &LoadedProgram) -> OptStats {
+        check_optimizer_transparent(loaded).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// `elide-staging` redirected a read of the receive window to the
+    /// neighbour's column although the callback had overwritten the window
+    /// first: `a` came out as the neighbour's state instead of 1 + 0.5·7.
+    #[test]
+    fn staged_window_overwritten_before_its_read_is_not_redirected() {
+        let window = || view("recv_buffer", 0, 4, false);
+        let acc = || view("acc", 0, 4, false);
+        let loaded = program(
+            &[("a", 4), ("acc", 4), ("recv_buffer", 4)],
+            1,
+            vec![Instr::Movs { dest: acc(), src: Src::Scalar(1.0) }],
+            vec![Instr::Movs { dest: window(), src: Src::Scalar(7.0) }, macs(acc(), window(), 0.5)],
+            vec![Instr::Movs { dest: view("a", 0, 4, false), src: Src::View(acc()) }],
+        );
+        let stats = assert_transparent(&loaded);
+        assert_eq!(stats.slots_elided, 0, "{stats:?}");
+    }
+
+    /// `flatten-chunks` merged two chunks although the second sweep reads
+    /// `t` one element ahead of where the first writes it: chunk by chunk
+    /// `t[4]` is still the previous step's value when chunk 0 reads it,
+    /// flattened it is already this step's.
+    #[test]
+    fn chunk_carried_dependence_blocks_flattening() {
+        let shifted_by = |shift| {
+            program(
+                &[("a", 8), ("t", 9), ("u", 8), ("recv_buffer", 4)],
+                2,
+                Vec::new(),
+                vec![
+                    macs(view("t", 0, 4, true), view("a", 0, 4, true), 0.5),
+                    macs(view("u", 0, 4, true), view("t", shift, 4, true), 1.0),
+                ],
+                vec![Instr::Movs {
+                    dest: view("a", 0, 8, false),
+                    src: Src::View(view("u", 0, 8, false)),
+                }],
+            )
+        };
+        assert_eq!(assert_transparent(&shifted_by(1)).chunks_flattened, 0);
+        // Same base: every chunk owns its window of `t`, flattening is safe.
+        assert_eq!(assert_transparent(&shifted_by(0)).chunks_flattened, 1);
+    }
+
+    /// Found by the hand-built-program proptest (`tests/static_analysis.rs`):
+    /// liveness walked `recv` once, so `acc` — rewritten by `done` — looked
+    /// dead after the copy and `fold-copies` retargeted the sweep, although
+    /// the next chunk's sweep reads what this chunk's accumulated.
+    #[test]
+    fn write_read_again_by_the_next_chunk_is_live() {
+        let acc = || view("acc", 0, 4, false);
+        let loaded = program(
+            &[("a", 8), ("acc", 4), ("t", 8), ("recv_buffer", 4)],
+            2,
+            Vec::new(),
+            vec![
+                macs(acc(), view("a", 0, 4, true), 0.5),
+                Instr::Movs { dest: view("t", 0, 4, true), src: Src::View(acc()) },
+            ],
+            vec![
+                Instr::Movs { dest: acc(), src: Src::Scalar(0.0) },
+                Instr::Movs {
+                    dest: view("a", 0, 8, false),
+                    src: Src::View(view("t", 0, 8, false)),
+                },
+            ],
+        );
+        assert_eq!(assert_transparent(&loaded).copies_folded, 0);
+    }
+}

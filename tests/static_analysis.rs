@@ -6,7 +6,8 @@
 //! serial and parallel execution (the race detector's no-false-negative
 //! contract: a diverging schedule implies a flagged stream).
 
-use testkit::conformance::bitwise_difference;
+use proptest::prelude::*;
+use testkit::conformance::{bitwise_difference, check_optimizer_transparent};
 use testkit::generate_case;
 use wse_analysis::{dag::Block, has_errors, Analyzer, EdgeKind, NodeKind};
 use wse_frontends::ast::{Expr, Frontend, GridSpec, StencilEquation, StencilProgram};
@@ -15,6 +16,9 @@ use wse_lowering::lower_program;
 use wse_sim::link::{
     BufferId, BufferLayout, FusedInit, FusedTerm, LinkedComm, LinkedInstr, LinkedKernel,
     LinkedProgram, LinkedView, SrcRef,
+};
+use wse_sim::loader::{
+    BinKind, BufferDecl, CommSpec, Instr, LoadedKernel, LoadedProgram, SlotSpec, Src, ViewRef,
 };
 use wse_sim::plan::PlannedOp;
 use wse_sim::{link_program_with, load_program, plan_program, LinkOptions, OptStats, WseGridSim};
@@ -383,6 +387,154 @@ fn lint_pins_every_ast_code() {
     for benchmark in Benchmark::ALL {
         let findings = analyzer().lint(&benchmark.tiny_program());
         assert!(!has_errors(&findings), "{benchmark:?}: {findings:?}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Hand-built loaded programs: dependence shapes the generator cannot emit.
+// ---------------------------------------------------------------------------
+
+/// Decodes a genome of small integers into a valid `LoadedProgram` on a
+/// 2×2 grid: one kernel exchanging 1–2 slots of field `a` in 1–3 chunks,
+/// 3–4 working buffers with a spare element at each end plus the receive
+/// buffer, and random `Movs`/`Binary`/`Macs` in `pre`/`recv`/`done`.
+/// Operands come from a palette of six places — a buffer at a small
+/// offset, static or (inside `recv`) advancing with the chunk — so
+/// instructions keep meeting on equal, shifted and disjoint views of the
+/// scratch buffers, the transmitted field and the receive windows.
+fn hand_built_loaded_program(shape: &[usize], ops: &[Vec<usize>]) -> LoadedProgram {
+    let (num_chunks, chunk, num_slots) = (1 + shape[0] % 3, 2 + shape[1] % 3, 1 + shape[2] % 2);
+    let buffers = &["a", "t", "k", "b"][..3 + shape[3] % 2];
+    let col = num_chunks * chunk;
+    let (len_of, max_dyn) = (col + 2, (num_chunks - 1) * chunk);
+    let view = |buffer: &str, offset: usize, len: usize, dynamic: bool| ViewRef {
+        buffer: buffer.into(),
+        offset: offset as i64,
+        dynamic,
+        len: len as i64,
+    };
+    // Place `p` at length `len` in `block` (0 = pre, 1 = recv, 2 = done).
+    let buffer_of = |p: usize| {
+        ["a", "t", "k", buffers[buffers.len() - 1], "t", "recv_buffer"][shape[6 + p] % 6]
+    };
+    let place = |p: usize, len: usize, block: usize, written: bool| {
+        // `k` is never written, so it stays a splat of its init: the
+        // coefficient buffer of the mul-then-add accumulate spelling.
+        let name = if written && buffer_of(p) == "k" { "t" } else { buffer_of(p) };
+        let shift = shape[12 + p] % 3;
+        if name == "recv_buffer" {
+            // A receive window, read or written like any other storage.
+            return view(name, (shift % num_slots) * chunk, len, false);
+        }
+        let dynamic = block == 1 && shape[18 + p] % 3 != 0;
+        let slack = len_of - len - if dynamic { max_dyn } else { 0 };
+        view(name, shift.min(slack), len, dynamic)
+    };
+    let mut blocks = [Vec::new(), Vec::new(), Vec::new()];
+    for g in ops {
+        let block = g[0] % 3;
+        // One length per instruction: a chunk inside `recv` and wherever a
+        // receive window is an operand, the whole column elsewhere.
+        let windowed = g[1..4].iter().any(|p| buffer_of(p % 6) == "recv_buffer");
+        let len = if block == 1 || windowed { chunk } else { col };
+        // Half the instructions continue from the previous one's
+        // destination: accumulate chains, write-backs, read-after-write.
+        let previous = blocks[block]
+            .last()
+            .map(|i: &Instr| match i {
+                Instr::Movs { dest, .. }
+                | Instr::Binary { dest, .. }
+                | Instr::Macs { dest, .. } => dest.clone(),
+            })
+            .filter(|dest| dest.len == len as i64);
+        let (dest, x, y) = (
+            place(g[1] % 6, len, block, true),
+            place(g[2] % 6, len, block, false),
+            place(g[3] % 6, len, block, false),
+        );
+        let coeff = [0.5, -0.25, 0.125, 1.0][g[4] % 4];
+        let kind = [BinKind::Add, BinKind::Sub, BinKind::Mul][g[6] % 3];
+        let instr = match (g[5] % 11, previous) {
+            (0, _) => Instr::Movs { dest, src: Src::Scalar(coeff) },
+            (1, _) => Instr::Movs { dest, src: Src::View(x) },
+            (2, _) => Instr::Binary { kind, dest, a: x, b: y },
+            (3, _) => Instr::Macs { dest, acc: x, src: y, coeff },
+            (4, _) => {
+                // `x = y · k; dest += x`: an accumulate without fmacs.
+                let (product, splat) =
+                    (place(g[2] % 6, len, block, true), view("k", 0, len, false));
+                let mul = BinKind::Mul;
+                blocks[block].push(Instr::Binary {
+                    kind: mul,
+                    dest: product.clone(),
+                    a: y,
+                    b: splat,
+                });
+                Instr::Binary { kind: BinKind::Add, a: dest.clone(), dest, b: product }
+            }
+            (5, _) | (_, None) => Instr::Macs { acc: dest.clone(), dest, src: y, coeff },
+            (6, Some(last)) => Instr::Movs { dest, src: Src::View(last) },
+            (7, Some(last)) => Instr::Binary { kind, dest, a: last, b: y },
+            (_, Some(last)) => Instr::Macs { acc: last.clone(), dest: last, src: y, coeff },
+        };
+        blocks[block].push(instr);
+    }
+    // Make the scratch state observable every step.
+    blocks[2].push(Instr::Movs {
+        dest: view("a", 1, col, false),
+        src: Src::View(view("t", shape[4] % 3, col, false)),
+    });
+    let [pre, recv, done] = blocks;
+    let neighbours = [(1, 0), (0, -1), (-1, 0), (0, 1)];
+    LoadedProgram {
+        width: 2,
+        height: 2,
+        z_dim: col as i64,
+        z_halo: 1,
+        timesteps: 2,
+        buffers: buffers
+            .iter()
+            .map(|&name| (name, len_of, if name == "k" { 0.5 } else { 0.0 }))
+            .chain([("recv_buffer", num_slots * chunk, 0.0)])
+            .map(|(name, len, init)| BufferDecl { name: name.into(), len: len as i64, init })
+            .collect(),
+        field_buffers: vec!["a".into()],
+        internal_fields: Vec::new(),
+        kernels: vec![LoadedKernel {
+            name: "seq_kernel0".into(),
+            pre,
+            comm: Some(CommSpec {
+                num_chunks: num_chunks as i64,
+                chunk_size: chunk as i64,
+                slots: (0..num_slots)
+                    .map(|s| {
+                        let (dx, dy) = neighbours[(shape[5] + s) % 4];
+                        SlotSpec { field: "a".into(), dx, dy }
+                    })
+                    .collect(),
+                fields: vec!["a".into()],
+                pattern: 1,
+            }),
+            recv,
+            done,
+        }],
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The link optimizer is bitwise transparent on hand-built programs
+    /// where it runs for release users — validator off — and never needs
+    /// the validator's revert when it is on.
+    #[test]
+    fn optimizer_is_transparent_on_hand_built_programs(
+        shape in proptest::collection::vec(0usize..60, 24..25),
+        ops in proptest::collection::vec(proptest::collection::vec(0usize..168, 7..8), 2..9),
+    ) {
+        let loaded = hand_built_loaded_program(&shape, &ops);
+        let verdict = check_optimizer_transparent(&loaded);
+        prop_assert!(verdict.is_ok(), "{}\n{loaded:#?}", verdict.unwrap_err());
     }
 }
 
