@@ -33,15 +33,13 @@
 //! state is then caught by the typed failure paths (band panics,
 //! timeouts, delivery mismatches) and replayed from the last checkpoint.
 //!
-//! Environment toggles (all optional, parsed via [`crate::env`]):
-//! `WSE_SIM_CHECKPOINT_EVERY` (steps between checkpoints, default 256),
-//! `WSE_SIM_WATCHDOG_MS` (worker-band watchdog deadline, default
-//! 60000), `WSE_SIM_MAX_ROLLBACKS` (rollback budget before the engine
-//! gives up with a typed error, default 32).
+//! The cadence, the watchdog deadline and the rollback budget are the
+//! fields of [`RecoveryOptions`], handed to
+//! [`crate::exec::WseGridSim::enable_recovery`]; nothing else configures
+//! them.
 
 use std::sync::Arc;
 
-use crate::env::env_value;
 use crate::fault::FaultCounts;
 
 /// Elements per copy-on-write page.  4096 f32s = 16 KiB: small enough
@@ -155,22 +153,6 @@ impl Default for RecoveryOptions {
 }
 
 impl RecoveryOptions {
-    /// Defaults overridden by `WSE_SIM_CHECKPOINT_EVERY`,
-    /// `WSE_SIM_WATCHDOG_MS`, and `WSE_SIM_MAX_ROLLBACKS` where set.
-    pub fn from_env() -> Self {
-        let mut options = RecoveryOptions::default();
-        if let Some(every) = env_value::<i64>("WSE_SIM_CHECKPOINT_EVERY") {
-            options.checkpoint_every = every.max(1);
-        }
-        if let Some(ms) = env_value::<u64>("WSE_SIM_WATCHDOG_MS") {
-            options.watchdog_ms = ms.max(1);
-        }
-        if let Some(max) = env_value::<u32>("WSE_SIM_MAX_ROLLBACKS") {
-            options.max_rollbacks = max;
-        }
-        options
-    }
-
     /// The watchdog deadline as a [`std::time::Duration`].
     pub fn watchdog(&self) -> std::time::Duration {
         std::time::Duration::from_millis(self.watchdog_ms.max(1))
@@ -313,9 +295,4 @@ mod tests {
         assert_ne!(clean[2], dirty[2]);
         assert_eq!(clean[3], dirty[3]);
     }
-
-    // `RecoveryOptions::from_env` is deliberately untested here: the test
-    // binary is one shared process, and toggling the real WSE_SIM_*
-    // variables would race with every other test that constructs an
-    // engine (the same rule env.rs's own tests follow).
 }

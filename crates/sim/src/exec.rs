@@ -198,20 +198,14 @@ pub struct WseGridSim {
     pool: Option<WorkerPool>,
     /// Completed macro steps since construction or the last restore.
     step: i64,
-    /// Fault configuration from `WSE_SIM_FAULTS` or
-    /// [`WseGridSim::inject_faults`]; `run` re-materializes `fault` from
-    /// it over each call's step range.
+    /// Fault configuration from [`WseGridSim::inject_faults`]; `run`
+    /// re-materializes `fault` from it over each call's step range.
     fault_options: Option<FaultOptions>,
     /// The active fault schedule (events are consumed as they fire).
     fault: Option<FaultPlan>,
     /// Checkpoint/checksum recovery state; `None` runs the historical
     /// fast path with zero overhead.
     recovery: Option<RecoveryState>,
-    /// The recovery configuration in force while none was enabled
-    /// explicitly: its watchdog bounds parallel sweeps, and a fault
-    /// campaign auto-enables recovery with it.  The defaults, or the
-    /// `WSE_SIM_*` overrides when built by [`WseGridSim::new`].
-    recovery_defaults: RecoveryOptions,
     /// Set when grid state was lost to a failure (band panic, watchdog
     /// quarantine, exhausted rollback budget) and not restored since.
     poisoned: bool,
@@ -247,42 +241,33 @@ impl Clone for WseGridSim {
             fault_options: self.fault_options,
             fault: self.fault.clone(),
             recovery: self.recovery.clone(),
-            recovery_defaults: self.recovery_defaults,
             poisoned: self.poisoned,
         }
     }
 }
 
 impl WseGridSim {
-    /// The environment-configured constructor — the only place the engine
-    /// reads `WSE_SIM_*` variables: links the program with
-    /// [`LinkOptions::from_env`], arms a `WSE_SIM_FAULTS` campaign
-    /// ([`FaultOptions::from_env`]) and takes the recovery defaults from
-    /// [`RecoveryOptions::from_env`].
+    /// [`WseGridSim::with_options`] with [`LinkOptions::default`].
     ///
     /// # Errors
-    /// Returns an [`ExecError`] when `WSE_SIM_FAULTS` is malformed (a
-    /// typed construction error, never a silently clean run) or linking
-    /// fails (unknown or duplicate buffers, out-of-bounds views, malformed
-    /// exchanges); see [`crate::link`].
+    /// See [`WseGridSim::with_options`].
     pub fn new(program: LoadedProgram) -> Result<Self, ExecError> {
-        let fault_options = FaultOptions::from_env()?;
-        let mut sim = Self::with_options(program, LinkOptions::from_env())?;
-        sim.fault_options = fault_options;
-        sim.recovery_defaults = RecoveryOptions::from_env();
-        Ok(sim)
+        Self::with_options(program, LinkOptions::default())
     }
 
     /// Links the program with explicit [`LinkOptions`] and creates the
     /// grid, allocating every PE's arena and filling the field buffers
-    /// with the shared initial condition.  Hermetic: no environment
-    /// variable is read — no fault campaign is armed and the recovery
-    /// defaults are [`RecoveryOptions::default`].  Optimized and
+    /// with the shared initial condition.  The options, and the calls
+    /// below ([`WseGridSim::set_threads`], [`WseGridSim::inject_faults`],
+    /// [`WseGridSim::enable_recovery`]), are the engine's whole
+    /// configuration: no environment variable is read.  Optimized and
     /// unoptimized streams produce bitwise identical results; the
     /// conformance harness runs both to prove it.
     ///
     /// # Errors
-    /// Returns an [`ExecError`] when linking fails; see [`WseGridSim::new`].
+    /// Returns an [`ExecError`] when linking fails (unknown or duplicate
+    /// buffers, out-of-bounds views, malformed exchanges); see
+    /// [`crate::link`].
     pub fn with_options(program: LoadedProgram, options: LinkOptions) -> Result<Self, ExecError> {
         let linked = link_program_with(&program, &options)?;
         let plan = plan_program(&linked);
@@ -322,7 +307,6 @@ impl WseGridSim {
             fault_options: None,
             fault: None,
             recovery: None,
-            recovery_defaults: RecoveryOptions::default(),
             poisoned: false,
         })
     }
@@ -397,10 +381,10 @@ impl WseGridSim {
         Ok(())
     }
 
-    /// Enables seeded fault injection (the API form of
-    /// `WSE_SIM_FAULTS=<seed>:<rate>`).  The next [`WseGridSim::run`]
-    /// materializes the fault schedule over its step range and
-    /// auto-enables recovery if it was not configured explicitly.
+    /// Enables seeded fault injection.  The next [`WseGridSim::run`]
+    /// materializes the fault schedule over its step range and, if
+    /// recovery was not configured explicitly, auto-enables it with
+    /// `RecoveryOptions { verify: true, ..Default::default() }`.
     pub fn inject_faults(&mut self, options: FaultOptions) {
         self.fault_options = Some(options);
         self.fault = None;
@@ -473,7 +457,7 @@ impl WseGridSim {
                 // Auto-enabled by a fault campaign: force full per-step
                 // verification — injecting faults without it would invite
                 // exactly the silent divergence recovery exists to prevent.
-                self.enable_recovery(RecoveryOptions { verify: true, ..self.recovery_defaults });
+                self.enable_recovery(RecoveryOptions { verify: true, ..Default::default() });
             }
             return self.run_recovering(self.step + steps);
         }
@@ -501,7 +485,7 @@ impl WseGridSim {
 
     /// Watchdog deadline for parallel sweeps.
     fn watchdog(&self) -> Duration {
-        self.recovery.as_ref().map_or(self.recovery_defaults, |r| r.options).watchdog()
+        self.recovery.as_ref().map_or_else(RecoveryOptions::default, |r| r.options).watchdog()
     }
 
     fn poisoned_error(&self) -> ExecError {

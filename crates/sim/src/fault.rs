@@ -15,15 +15,11 @@
 //! fault that does not recur.  The plan is also *stateless per step*:
 //! [`FaultPlan::for_range`] derives every step's events from `seed ^ step`
 //! alone, so re-materializing a plan over a later range (as `run` does on
-//! each call when `WSE_SIM_FAULTS` is set) yields the same events the
-//! full-range plan would have.
-//!
-//! Spelling of the environment toggle: `WSE_SIM_FAULTS=<seed>:<rate>`,
-//! e.g. `WSE_SIM_FAULTS=42:0.05` for one fault on ~5% of steps under
-//! seed 42.  Malformed values are a typed error at engine construction,
-//! never a silent no-op.
+//! each call after [`crate::exec::WseGridSim::inject_faults`]) yields the
+//! same events the full-range plan would have — e.g.
+//! `FaultOptions { seed: 42, rate: 0.05 }` for one fault on ~5% of steps
+//! under seed 42.
 
-use crate::exec::ExecError;
 use crate::link::LinkedProgram;
 
 /// Panic message of injected [`FaultKind::BandPanic`] events.  Test
@@ -41,46 +37,6 @@ pub struct FaultOptions {
     /// Per-step probability in `[0, 1]` that one fault event is injected
     /// at that step.
     pub rate: f64,
-}
-
-impl FaultOptions {
-    /// Parses the `<seed>:<rate>` spelling used by `WSE_SIM_FAULTS`.
-    pub fn parse(raw: &str) -> Result<Self, String> {
-        let trimmed = raw.trim();
-        let (seed_part, rate_part) = trimmed
-            .split_once(':')
-            .ok_or_else(|| format!("expected <seed>:<rate>, got {trimmed:?}"))?;
-        let seed: u64 = seed_part
-            .trim()
-            .parse()
-            .map_err(|_| format!("fault seed {seed_part:?} is not a non-negative integer"))?;
-        let rate: f64 = rate_part
-            .trim()
-            .parse()
-            .map_err(|_| format!("fault rate {rate_part:?} is not a number"))?;
-        if !(0.0..=1.0).contains(&rate) {
-            return Err(format!("fault rate {rate} is outside [0, 1]"));
-        }
-        Ok(FaultOptions { seed, rate })
-    }
-
-    /// Reads `WSE_SIM_FAULTS=<seed>:<rate>` from the process environment.
-    /// Unset or empty reads as `None`; a malformed value is a typed error
-    /// (never a silent no-op, which would turn a fault campaign into a
-    /// clean run without anyone noticing).
-    pub fn from_env() -> Result<Option<Self>, ExecError> {
-        let raw = match std::env::var("WSE_SIM_FAULTS") {
-            Ok(raw) => raw,
-            Err(_) => return Ok(None),
-        };
-        if raw.trim().is_empty() {
-            return Ok(None);
-        }
-        match Self::parse(&raw) {
-            Ok(options) => Ok(Some(options)),
-            Err(detail) => Err(ExecError::invalid(format!("malformed WSE_SIM_FAULTS: {detail}"))),
-        }
-    }
 }
 
 /// One planned fault event.
@@ -318,17 +274,6 @@ impl SplitMix {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_accepts_seed_colon_rate_and_rejects_the_rest() {
-        assert_eq!(FaultOptions::parse("42:0.05"), Ok(FaultOptions { seed: 42, rate: 0.05 }));
-        assert_eq!(FaultOptions::parse(" 7 : 1 "), Ok(FaultOptions { seed: 7, rate: 1.0 }));
-        assert!(FaultOptions::parse("42").is_err());
-        assert!(FaultOptions::parse("x:0.5").is_err());
-        assert!(FaultOptions::parse("42:fast").is_err());
-        assert!(FaultOptions::parse("42:1.5").is_err());
-        assert!(FaultOptions::parse("42:-0.1").is_err());
-    }
 
     fn tiny_linked() -> LinkedProgram {
         use crate::link::{link_program_with, LinkOptions};

@@ -13,11 +13,10 @@
 //!
 //! # Instruction sets
 //!
-//! [`Isa::detect`] picks the widest available implementation at runtime:
-//! 8-lane AVX2, 4-lane SSE2 (the x86-64 baseline), or the portable scalar
-//! fallback on other architectures.  `WSE_SIM_NO_SIMD=1` (see
-//! [`crate::link::LinkOptions::from_env`]) forces the scalar set so
-//! conformance and benches can pin the vector paths against it.
+//! [`Isa::detect`] picks the implementation at runtime: 8-lane AVX2
+//! where the host has it, the portable scalar set everywhere else.
+//! [`crate::link::LinkOptions::simd`]` = false` forces the scalar set so
+//! conformance and benches can pin the vector path against it.
 //!
 //! # The bitwise guarantee
 //!
@@ -27,12 +26,12 @@
 //! operations (`mulps` + `addps`, never a contracted `vfmadd`), lanes
 //! never reassociate across elements, and the loop tail (`len %
 //! LANES`) runs the identical scalar sequence.  Results are therefore
-//! bitwise identical across AVX2, SSE2, and scalar execution — the
+//! bitwise identical across AVX2 and scalar execution — the
 //! conformance harness runs SIMD-on and SIMD-off streams on every seed
 //! and requires identical bits.
 //!
-//! The opt-in `fast_fma` mode (`WSE_SIM_FAST_FMA=1` or
-//! [`crate::link::LinkOptions::fast_fma`]) replaces each mul-then-add
+//! The opt-in `fast_fma` mode
+//! ([`crate::link::LinkOptions::fast_fma`]) replaces each mul-then-add
 //! pair with a single-rounded fused multiply-add (`vfmadd`, or
 //! `f32::mul_add` in the tail and scalar set).  That changes rounding, so
 //! fast-FMA streams are validated through the conformance *tolerance*
@@ -113,37 +112,26 @@ pub type MacsFn = unsafe fn(d: *mut f32, acc: *const f32, src: *const f32, coeff
 pub enum Isa {
     /// Portable scalar fallback (1 lane).
     Scalar,
-    /// SSE2, the x86-64 baseline (4 lanes).
-    Sse2,
     /// AVX2 (8 lanes).
     Avx2,
 }
 
 impl Isa {
     /// The widest instruction set the host supports.  Pure hardware
-    /// detection — the `WSE_SIM_NO_SIMD` toggle is applied by
-    /// [`crate::link::LinkOptions`], not here, so explicit options always
-    /// win over the environment.
+    /// detection — [`crate::link::LinkOptions::simd`] is applied by the
+    /// planner, not here.
     pub fn detect() -> Isa {
         #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                Isa::Avx2
-            } else {
-                Isa::Sse2
-            }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Isa::Avx2;
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            Isa::Scalar
-        }
+        Isa::Scalar
     }
 
     /// f32 lanes per vector operation.
     pub fn lanes(self) -> usize {
         match self {
             Isa::Scalar => 1,
-            Isa::Sse2 => 4,
             Isa::Avx2 => 8,
         }
     }
@@ -152,7 +140,6 @@ impl Isa {
     pub fn name(self) -> &'static str {
         match self {
             Isa::Scalar => "scalar",
-            Isa::Sse2 => "sse2",
             Isa::Avx2 => "avx2",
         }
     }
@@ -192,8 +179,6 @@ pub fn kernel_set(isa: Isa, fast_fma: bool) -> &'static KernelSet {
     match (isa, fast_fma) {
         (Isa::Avx2, false) => &avx2::EXACT,
         (Isa::Avx2, true) => &avx2::FMA,
-        (Isa::Sse2, false) => &sse2::EXACT,
-        (Isa::Sse2, true) => &sse2::FMA,
         (Isa::Scalar, false) => &scalar::EXACT,
         (Isa::Scalar, true) => &scalar::FMA,
     }
@@ -494,99 +479,6 @@ mod scalar {
 }
 
 #[cfg(target_arch = "x86_64")]
-mod sse2 {
-    use super::{macs_body, map_body, sweep_row_body, BatchTerm, Vector};
-    use std::arch::x86_64::*;
-
-    /// Four f32 lanes (`__m128`); SSE2 is the x86-64 baseline, so no
-    /// runtime check is needed, but the kernels stay behind the same
-    /// wrapper discipline as AVX2.  SSE2 has no FMA instruction and this
-    /// set requires none: its fast-FMA variants emulate the single
-    /// rounding lane by lane with `f32::mul_add` (see `mul_add` below), so
-    /// they run on every x86-64 host and round exactly like the scalar
-    /// tail.
-    #[derive(Clone, Copy)]
-    pub(super) struct W(__m128);
-
-    impl Vector for W {
-        const LANES: usize = 4;
-        #[inline(always)]
-        unsafe fn splat(x: f32) -> Self {
-            W(_mm_set1_ps(x))
-        }
-        #[inline(always)]
-        unsafe fn load(p: *const f32) -> Self {
-            W(_mm_loadu_ps(p))
-        }
-        #[inline(always)]
-        unsafe fn store(self, p: *mut f32) {
-            _mm_storeu_ps(p, self.0)
-        }
-        #[inline(always)]
-        unsafe fn add(self, o: Self) -> Self {
-            W(_mm_add_ps(self.0, o.0))
-        }
-        #[inline(always)]
-        unsafe fn sub(self, o: Self) -> Self {
-            W(_mm_sub_ps(self.0, o.0))
-        }
-        #[inline(always)]
-        unsafe fn mul(self, o: Self) -> Self {
-            W(_mm_mul_ps(self.0, o.0))
-        }
-        #[inline(always)]
-        unsafe fn mul_add(self, m: Self, a: Self) -> Self {
-            // SSE2 has no FMA instruction; emulate the single rounding
-            // lane by lane so the fast-FMA mode stays consistent across
-            // vector body and scalar tail.
-            let mut xs = [0.0f32; 4];
-            let mut ms = [0.0f32; 4];
-            let mut as_ = [0.0f32; 4];
-            _mm_storeu_ps(xs.as_mut_ptr(), self.0);
-            _mm_storeu_ps(ms.as_mut_ptr(), m.0);
-            _mm_storeu_ps(as_.as_mut_ptr(), a.0);
-            for ((x, m), a) in xs.iter_mut().zip(ms.iter()).zip(as_.iter()) {
-                *x = x.mul_add(*m, *a);
-            }
-            W(_mm_loadu_ps(xs.as_ptr()))
-        }
-    }
-
-    /// `#[target_feature(enable = "sse2")]` wrappers: the generic bodies
-    /// are `#[inline(always)]`, so they compile in this feature context.
-    macro_rules! wrap_sse2 {
-        ($name:ident, sweep_row_body, $W:ty, $n:expr, $acc:expr, $fma:expr) => {
-            #[target_feature(enable = "sse2")]
-            unsafe fn $name(
-                d: *mut f32,
-                len: usize,
-                fill: f32,
-                acc: *const f32,
-                t: *const BatchTerm,
-                n_pes: usize,
-                pe_stride: usize,
-            ) {
-                sweep_row_body::<$W, $n, $acc, $fma>(d, len, fill, acc, t, n_pes, pe_stride)
-            }
-        };
-        ($name:ident, map_body, $W:ty, $op:expr) => {
-            #[target_feature(enable = "sse2")]
-            unsafe fn $name(d: *mut f32, a: *const f32, b: *const f32, len: usize) {
-                map_body::<$W, $op>(d, a, b, len)
-            }
-        };
-        ($name:ident, macs_body, $W:ty, $fma:expr) => {
-            #[target_feature(enable = "sse2")]
-            unsafe fn $name(d: *mut f32, acc: *const f32, src: *const f32, c: f32, len: usize) {
-                macs_body::<$W, $fma>(d, acc, src, c, len)
-            }
-        };
-    }
-
-    kernel_tables!(super::Isa::Sse2, W, wrap_sse2);
-}
-
-#[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{macs_body, map_body, sweep_row_body, BatchTerm, Vector};
     use std::arch::x86_64::*;
@@ -671,13 +563,8 @@ mod tests {
     /// detection allows).
     fn testable_isas() -> Vec<Isa> {
         let mut isas = vec![Isa::Scalar];
-        match Isa::detect() {
-            Isa::Avx2 => {
-                isas.push(Isa::Sse2);
-                isas.push(Isa::Avx2);
-            }
-            Isa::Sse2 => isas.push(Isa::Sse2),
-            Isa::Scalar => {}
+        if Isa::detect() == Isa::Avx2 {
+            isas.push(Isa::Avx2);
         }
         isas
     }
@@ -716,8 +603,8 @@ mod tests {
     }
 
     /// Tails and tiny views: every arity × init × ISA must be bitwise
-    /// equal to the scalar reference at lengths around the 4- and 8-lane
-    /// boundaries, including 0 and 1.
+    /// equal to the scalar reference at lengths around the 8-lane
+    /// boundaries and their halves, including 0 and 1.
     #[test]
     fn sweeps_are_bitwise_equal_to_scalar_at_all_tail_lengths() {
         for isa in testable_isas() {
@@ -869,10 +756,9 @@ mod tests {
         let isa = Isa::detect();
         assert!(isa.lanes() >= 1);
         assert_eq!(Isa::Scalar.lanes(), 1);
-        assert_eq!(Isa::Sse2.lanes(), 4);
         assert_eq!(Isa::Avx2.lanes(), 8);
         // The table returns a set compiled for what we asked.
-        for isa in [Isa::Scalar, Isa::Sse2, Isa::Avx2] {
+        for isa in [Isa::Scalar, Isa::Avx2] {
             // Construction is safe; only *calling* requires the feature.
             let set = kernel_set(isa, false);
             #[cfg(target_arch = "x86_64")]

@@ -14,7 +14,7 @@
 //!   match, the events of one program cycle, and the interval, liveness,
 //!   reaching-write, chunk-carried and edge queries the optimizer, the
 //!   planner and `wse-analysis` all consume;
-//! * [`kernels`] — monomorphized SIMD kernels (AVX2/SSE2/scalar, selected
+//! * [`kernels`] — monomorphized SIMD kernels (AVX2/scalar, selected
 //!   by runtime feature detection; one row-batched sweep family) with a
 //!   bitwise-exact default mode and an opt-in `fast_fma` contraction mode;
 //! * [`plan`] — the kernel-plan compiler: lowers linked instruction
@@ -44,7 +44,6 @@
 pub mod baselines;
 pub mod checkpoint;
 pub mod deps;
-pub mod env;
 pub mod exec;
 pub mod fault;
 pub mod interp;
@@ -59,7 +58,6 @@ pub mod roofline;
 pub mod validate;
 
 pub use checkpoint::{checksum_f32, row_checksums, Checkpoint, RecoveryOptions, RecoveryStats};
-pub use env::{env_flag, env_value};
 pub use exec::{ExecError, ExecErrorKind, WseGridSim};
 pub use fault::{FaultCounts, FaultKind, FaultOptions, FaultPlan, INJECTED_BAND_PANIC};
 pub use interp::InterpGridSim;
@@ -69,8 +67,7 @@ pub use link::{
 };
 pub use loader::{load_program, LoadError, LoadedProgram};
 pub use machine::{TargetMachine, WseGeneration, WseMachine, A100, EPYC_7742_NODE};
-pub use perf::{estimate_performance, fabric_profile, CycleBreakdown, FabricProfile, PerfEstimate};
-pub use plan::{plan_program, PlanCounts, ProgramPlan};
+pub use perf::{estimate_performance, CycleBreakdown, FabricProfile, PerfEstimate};
+pub use plan::{plan_program, ProgramPlan};
 pub use reference::{initial_state, max_abs_difference, run_reference, Field3D, GridState};
-pub use roofline::SimdPeak;
-pub use validate::{observable_summary, streams_equivalent};
+pub use validate::observable_summary;

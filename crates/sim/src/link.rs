@@ -26,8 +26,8 @@
 //! # The link-time optimizer
 //!
 //! After resolution, [`link_program`] rewrites each kernel's instruction
-//! stream into fused superinstructions (disable with `WSE_SIM_NO_FUSE=1`
-//! or [`LinkOptions`]).  Ten pass units run, in this order; each is
+//! stream into fused superinstructions (disable with
+//! [`LinkOptions::optimize`]).  Ten pass units run, in this order; each is
 //! checked (and individually reverted) by the translation validator when
 //! [`LinkOptions::validate`] is on.  No unit decides a dependence from
 //! instruction shape: each states its safety condition as a query on the
@@ -108,9 +108,9 @@ fn err(code: &'static str, message: impl Into<String>) -> ExecError {
 }
 
 /// A deliberately broken rewrite, injectable through
-/// [`LinkOptions::mutate`] (or `WSE_SIM_MUTATE_LINK`) to prove the
-/// translation validator catches miscompilations *statically* rather than
-/// relying on the bitwise conformance net alone.
+/// [`LinkOptions::mutate`] to prove the translation validator catches
+/// miscompilations *statically* rather than relying on the bitwise
+/// conformance net alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkMutation {
     /// Drop the source/destination disjointness check in FMA-chain fusion
@@ -146,12 +146,11 @@ pub struct LinkOptions {
     /// re-checked after each pass unit; a pass that drops or reorders a
     /// dependence is rejected and its rewrite reverted, counted in
     /// [`OptStats::validator_rejections`] with the pass name recorded.
-    /// Defaults to on in debug builds; `WSE_SIM_VALIDATE_LINK=1` turns it
-    /// on anywhere (the conformance driver's CI sweep does).
+    /// Defaults to on in debug builds; the conformance driver turns it on
+    /// for its primary stream on every seed.
     pub validate: bool,
     /// Deliberately break one rewrite (see [`LinkMutation`]) to exercise
-    /// the validator.  Never set outside tests and the
-    /// `WSE_SIM_MUTATE_LINK` escape hatch.
+    /// the validator.  Never set outside tests and benchmarks.
     pub mutate: Option<LinkMutation>,
 }
 
@@ -163,30 +162,6 @@ impl Default for LinkOptions {
             fast_fma: false,
             validate: cfg!(debug_assertions),
             mutate: None,
-        }
-    }
-}
-
-impl LinkOptions {
-    /// Reads the process-wide escape hatches: `WSE_SIM_NO_FUSE` disables
-    /// the link-time optimizer, `WSE_SIM_NO_SIMD` forces the scalar
-    /// kernel set, `WSE_SIM_FAST_FMA` opts into contracted multiply-adds
-    /// (tolerance-path only), `WSE_SIM_VALIDATE_LINK` forces the
-    /// translation validator on (it already defaults to on in debug
-    /// builds), and `WSE_SIM_MUTATE_LINK=drop-aliasing-check` injects the
-    /// broken rewrite the validator's mutation test hunts.  Truthiness
-    /// follows [`crate::env::env_flag`] (`1`/`true`/`yes`/`on`, any case).
-    pub fn from_env() -> Self {
-        let mutate = match crate::env::env_value::<String>("WSE_SIM_MUTATE_LINK").as_deref() {
-            Some("drop-aliasing-check") => Some(LinkMutation::DropAliasingCheck),
-            _ => None,
-        };
-        Self {
-            optimize: !crate::env::env_flag("WSE_SIM_NO_FUSE"),
-            simd: !crate::env::env_flag("WSE_SIM_NO_SIMD"),
-            fast_fma: crate::env::env_flag("WSE_SIM_FAST_FMA"),
-            validate: cfg!(debug_assertions) || crate::env::env_flag("WSE_SIM_VALIDATE_LINK"),
-            mutate,
         }
     }
 }
@@ -655,11 +630,10 @@ pub fn validate_layouts(layouts: &[BufferLayout], arena_len: usize) -> Result<()
     Ok(())
 }
 
-/// Links a loaded program with [`LinkOptions::from_env`] (the link-time
-/// optimizer runs unless `WSE_SIM_NO_FUSE=1` is set).  See
-/// [`link_program_with`].
+/// Links a loaded program with [`LinkOptions::default`] (the link-time
+/// optimizer runs).  See [`link_program_with`].
 pub fn link_program(program: &LoadedProgram) -> Result<LinkedProgram, ExecError> {
-    link_program_with(program, &LinkOptions::from_env())
+    link_program_with(program, &LinkOptions::default())
 }
 
 /// Links a loaded program: interns buffer names, lays out the per-PE

@@ -27,9 +27,9 @@
 //!   round-trip.  Partially overlapping views keep the scratch path.
 //! - **ISA selection.** The plan binds kernels from the widest instruction
 //!   set the host supports ([`Isa::detect`]), or the scalar set when
-//!   [`LinkedProgram::simd`] is off (`WSE_SIM_NO_SIMD=1`).  Either way the
-//!   bits are identical; [`PlanCounts`] reports which path every op took
-//!   so conformance and benches can force and observe each.
+//!   [`LinkedProgram::simd`] is off ([`crate::link::LinkOptions::simd`]).
+//!   Either way the bits are identical; [`PlanCounts`] reports which path
+//!   every op took so conformance and benches can force and observe each.
 
 use crate::deps::views_disjoint;
 use crate::kernels::{kernel_set, Isa, KernelSet, MacsFn, MapFn, SweepRowFn, MAX_ARITY};
@@ -40,7 +40,7 @@ use crate::loader::BinKind;
 /// [`crate::link::OptStats`] at link time).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCounts {
-    /// Arithmetic ops bound to vector (SSE2/AVX2) kernels.
+    /// Arithmetic ops bound to vector (AVX2) kernels.
     pub simd_planned: usize,
     /// Arithmetic ops bound to the portable scalar kernel set.
     pub simd_fallback: usize,

@@ -5,7 +5,6 @@
 //! accesses traverse the fabric.  The acoustic benchmark is additionally
 //! placed on a single-A100 roofline, where it is memory bound.
 
-use crate::kernels::Isa;
 use crate::machine::{ComparisonDevice, WseMachine};
 
 /// Which bandwidth bounds a roofline point.
@@ -97,44 +96,6 @@ pub fn device_roofline(device: &ComparisonDevice) -> Roofline {
     }
 }
 
-/// The *host* CPU's single-core SIMD peak for the simulator's own f32
-/// kernels (not a WSE roofline): `lanes × FP ports × clock`, doubled when
-/// fused multiply-adds are in play.  The throughput bench divides the
-/// engine's achieved FLOP/s by this to report what fraction of the
-/// vector ALUs the explicit kernel plans actually reach.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimdPeak {
-    /// The kernel instruction set being measured.
-    pub isa: Isa,
-    /// f32 lanes per vector operation ([`Isa::lanes`]).
-    pub lanes: usize,
-    /// Vector FP execution ports assumed per core (2 on every recent
-    /// x86-64 part).
-    pub fp_ports: usize,
-    /// Core clock in GHz.
-    pub ghz: f64,
-}
-
-impl SimdPeak {
-    /// Peak model for `isa` at `ghz` (2 FP ports assumed).
-    pub fn new(isa: Isa, ghz: f64) -> SimdPeak {
-        SimdPeak { isa, lanes: isa.lanes(), fp_ports: 2, ghz }
-    }
-
-    /// Peak f32 FLOP/s.  The exact (bitwise) kernels issue multiplies and
-    /// adds as separate ops — one FLOP per op — while `fused` counts two
-    /// FLOPs per contracted multiply-add.
-    pub fn peak_flops(&self, fused: bool) -> f64 {
-        let flops_per_op = if fused { 2.0 } else { 1.0 };
-        self.lanes as f64 * self.fp_ports as f64 * flops_per_op * self.ghz * 1e9
-    }
-
-    /// Fraction of the SIMD peak a measured FLOP/s rate achieves.
-    pub fn achieved_fraction(&self, flops: f64, fused: bool) -> f64 {
-        flops / self.peak_flops(fused)
-    }
-}
-
 /// Arithmetic intensity of a stencil when every access hits local memory:
 /// per point, `points_read` reads plus one write of 4-byte values.
 pub fn memory_arithmetic_intensity(flops_per_point: u64, points_read: usize) -> f64 {
@@ -183,17 +144,6 @@ mod tests {
         let a100 = device_roofline(&A100);
         let ai_cache = cache_arithmetic_intensity(30, 2);
         assert_eq!(a100.boundedness(ai_cache), Boundedness::MemoryBound);
-    }
-
-    #[test]
-    fn simd_peak_scales_with_lanes_and_fma() {
-        let scalar = SimdPeak::new(Isa::Scalar, 2.0);
-        let avx2 = SimdPeak::new(Isa::Avx2, 2.0);
-        assert_eq!(scalar.peak_flops(false), 2.0 * 2e9);
-        assert_eq!(avx2.peak_flops(false), 8.0 * 2.0 * 2e9);
-        assert_eq!(avx2.peak_flops(true), 2.0 * avx2.peak_flops(false));
-        let fraction = avx2.achieved_fraction(avx2.peak_flops(false) / 4.0, false);
-        assert!((fraction - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -33,8 +33,8 @@ pub mod shrink;
 
 pub use conformance::{
     case_fusion_evidence, case_product_evidence, install_quiet_panic_hook, run_case,
-    run_case_with_tolerance, run_case_with_tolerance_via, run_fault_case, shape_tolerance,
-    FaultCaseReport, FaultOutcome, FusionEvidence, ProductEvidence, Verdict, TOLERANCE,
+    run_case_with_tolerance_via, run_fault_case, shape_tolerance, FaultCaseReport, FaultOutcome,
+    FusionEvidence, ProductEvidence, Verdict, TOLERANCE,
 };
 pub use generate::{
     generate_case, generate_case_with, has_product_term, has_self_updating_chain,

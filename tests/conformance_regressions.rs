@@ -171,7 +171,7 @@ fn degree_three_bodies_are_rejected_with_a_typed_diagnostic() {
 // --------------------------------------------------------------------------
 // Link-time optimizer fusion rules (PR 4).  One pinned regression per
 // rewrite-safety rule: the optimized stream must stay bitwise identical
-// to the unoptimized (`WSE_SIM_NO_FUSE=1`) stream even on the exact
+// to the unoptimized (`optimize: false`) stream even on the exact
 // shapes where an unsound rewrite would diverge.
 // --------------------------------------------------------------------------
 
@@ -589,8 +589,8 @@ mod dependence_aware_inlining {
 // split onto `__prod` scratch fields and executed as elementwise Mul
 // kernels feeding the linear Mac accumulation; these pin the new path
 // end to end.  `assert_passes` (via `run_case`) cross-checks every case
-// bitwise across both stream variants — optimized vs `WSE_SIM_NO_FUSE`
-// and vector vs scalar kernel sets — and against the reference executor.
+// bitwise across every stream variant — optimized vs unoptimized, vector
+// vs scalar kernel sets — and against the reference executor.
 // --------------------------------------------------------------------------
 
 mod nonlinear_products {
@@ -704,8 +704,8 @@ mod nonlinear_products {
 }
 
 /// SIMD engine pins: vector-width tails and tiny views.  `run_case`
-/// cross-checks the optimized stream bitwise against the opposite kernel
-/// set (vector vs scalar fallback — see `testkit::conformance`), so each
+/// cross-checks the optimized vector stream bitwise against the scalar
+/// kernel set (see `testkit::conformance`), so each
 /// case here pins the masked/scalar tail handling of the explicit SIMD
 /// kernels: columns shorter than one vector, exact multiples, one-element
 /// tails, and chunk sizes that are not a multiple of the 8-lane AVX2

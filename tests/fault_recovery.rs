@@ -320,3 +320,26 @@ fn seeded_campaign_from_options_recovers_bitwise() {
     assert!(stats.faults.total() > 0, "the campaign injected something: {stats:?}");
     assert!(stats.rollbacks > 0, "recovery actually fired");
 }
+
+#[test]
+fn fault_campaign_without_enable_recovery_auto_enables_verified_recovery() {
+    quiet_injected_panics();
+    let loaded = loaded_jacobian(4, 4, 8, 16);
+    let baseline = state_of(&loaded, LINK);
+
+    let mut sim = WseGridSim::with_options(loaded, LINK).expect("links");
+    // No `enable_recovery`: the run arms `RecoveryOptions { verify: true,
+    // ..Default::default() }` itself.  This seed plans bit flips and band
+    // panics but no band stall in 16 steps — a stall sleeps for twice the
+    // watchdog, which at the default is two minutes.
+    sim.inject_faults(FaultOptions { seed: 0xFA17, rate: 0.6 });
+    assert!(sim.recovery_stats().is_none(), "nothing is enabled before the run");
+    sim.run(None).expect("the campaign recovers");
+    let state = sim.grid_state().expect("extracts");
+    assert_bitwise("auto-enabled recovery", &baseline, &state);
+    let stats = sim.recovery_stats().expect("the campaign enabled recovery");
+    assert!(stats.faults.total() > 0, "the campaign injected something: {stats:?}");
+    assert!(stats.checksum_failures > 0, "verification was on: {stats:?}");
+    assert!(stats.rollbacks > 0, "recovery actually fired");
+    assert_eq!(stats.checkpoints_saved, 1, "16 steps fit inside the default 256-step cadence");
+}

@@ -2,8 +2,8 @@
 //! sequential reference executor across randomized grid sizes, chunk
 //! counts, and optimization settings (vendored proptest shim) — and the
 //! link-time optimizer must be bitwise-transparent: every case runs
-//! through both the optimized and the `WSE_SIM_NO_FUSE=1` stream and the
-//! two grids must be identical bit for bit.  So must the pooled band
+//! through both the optimized and the unoptimized (`optimize: false`)
+//! stream and the two grids must be identical bit for bit.  So must the pooled band
 //! wavefront, for any band count, against single-threaded execution, and
 //! the op-major row path on the stream shapes no paper program has: a
 //! receive slot the optimizer left staged, a fused sweep in a commit block.
