@@ -8,9 +8,10 @@
 //! ```
 //!
 //! For each program the driver runs the AST lints; when they produce no
-//! errors it also compiles the program, links it, and runs the static
-//! race detector over the optimized instruction stream, so one command
-//! covers both ends of the pipeline.  Exit status: 0 clean (warnings
+//! errors it also compiles the program, links it under the translation
+//! validator (`E201`), and runs the static race detector over the
+//! optimized instruction stream, so one command covers both ends of the
+//! pipeline.  Exit status: 0 clean (warnings
 //! allowed), 1 when any error-severity finding or compile failure is
 //! reported, 2 on usage errors.
 
@@ -18,6 +19,7 @@ use std::process::ExitCode;
 
 use wse_analysis::{has_errors, Analyzer, Finding};
 use wse_ir::diagnostics::{render_explanation, REGISTRY};
+use wse_sim::LinkOptions;
 use wse_stencil::benchmarks::Benchmark;
 use wse_stencil::fortran::parse_fortran;
 use wse_stencil::{Compiler, StencilProgram};
@@ -42,8 +44,20 @@ fn check_program(label: &str, program: &StencilProgram) -> bool {
     // the AST already fails (compilation would reject the same shapes).
     if !lint_errors {
         match Compiler::new().compile(program) {
-            Ok(artifact) => match wse_sim::link_program(artifact.loaded_program()) {
+            // Validated in release builds too: on the witness grid the
+            // translation validator costs a fraction of the compile.
+            Ok(artifact) => match wse_sim::link_program_with(
+                artifact.loaded_program(),
+                &LinkOptions { validate: true, ..LinkOptions::default() },
+            ) {
                 Ok(linked) => {
+                    findings.extend(linked.stats().rejected_passes.iter().map(|pass| {
+                        Finding::new(
+                            "E201",
+                            format!("link pass {pass}"),
+                            "rewrite changed the observable dataflow and was reverted".to_string(),
+                        )
+                    }));
                     findings.extend(analyzer.check_stream(&linked));
                     let counts = analyzer.dependence_graph(&linked).counts();
                     println!(

@@ -115,13 +115,13 @@ impl DepGraph {
                         format!("k{k}/stage[{i}] (dx {}, dy {})", spec.dx, spec.dy)
                     }
                     (NodeKind::Instr, block) => {
-                        let (phase, instrs) = match block {
-                            Block::Pre => ("pre", &kernel.pre),
-                            Block::Recv => ("recv", &kernel.recv),
-                            Block::Done => ("done", &kernel.done),
-                            _ => ("commit", &kernel.commit),
+                        let instrs = match block {
+                            Block::Pre => &kernel.pre,
+                            Block::Recv => &kernel.recv,
+                            Block::Done => &kernel.done,
+                            _ => &kernel.commit,
                         };
-                        format!("k{k}/{phase}[{i}] {}", instr_name(&instrs[i]))
+                        format!("k{k}/{}[{i}] {}", block.name(), instr_name(&instrs[i]))
                     }
                     _ => format!("k{k}/snapshot"),
                 };

@@ -50,14 +50,9 @@ pub fn check_stream(linked: &LinkedProgram) -> Vec<Finding> {
             let Some(range) = snapped.iter().find(|&&r| overlaps(w, r)) else { continue };
             sweep_touches_snapped = true;
             if !comm.capture {
-                let phase = match event.block {
-                    Block::Pre => "pre",
-                    Block::Recv => "recv",
-                    _ => "done",
-                };
                 findings.push(Finding::new(
                     "E101",
-                    format!("kernel {k}, {phase}[{}]", event.index),
+                    format!("kernel {k}, {}[{}]", event.block.name(), event.index),
                     format!(
                         "writes arena [{}, {}) inside transmitted column [{}, {}) while \
                          the snapshot capture is elided: a neighbor band sweeping \

@@ -95,6 +95,19 @@ pub enum Block {
     Commit,
 }
 
+impl Block {
+    /// The phase's name as diagnostics and graph labels spell it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Block::Exchange => "exchange",
+            Block::Pre => "pre",
+            Block::Recv => "recv",
+            Block::Done => "done",
+            Block::Commit => "commit",
+        }
+    }
+}
+
 /// What an event represents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EventKind {
@@ -154,11 +167,14 @@ pub fn cycle_events(linked: &LinkedProgram) -> Vec<Event> {
             events.push(Event { kind, kernel: k, reads: columns, ..Event::default() });
         }
         let repeats = kernel.comm.as_ref().is_some_and(|c| c.num_chunks > 1);
+        // Without an exchange there is no chunk to receive: neither the
+        // engine nor the validator ever runs such a kernel's `recv`.
+        let recv: &[LinkedInstr] = if kernel.comm.is_some() { &kernel.recv } else { &[] };
         let blocks = [
-            (Block::Pre, &kernel.pre, 0, false),
-            (Block::Recv, &kernel.recv, kernel.max_dyn(), repeats),
-            (Block::Done, &kernel.done, 0, false),
-            (Block::Commit, &kernel.commit, 0, false),
+            (Block::Pre, &kernel.pre[..], 0, false),
+            (Block::Recv, recv, kernel.max_dyn(), repeats),
+            (Block::Done, &kernel.done[..], 0, false),
+            (Block::Commit, &kernel.commit[..], 0, false),
         ];
         for (block, instrs, max_dyn, repeats) in blocks {
             if let (Block::Recv, Some(comm)) = (block, &kernel.comm) {
@@ -383,6 +399,54 @@ mod tests {
         assert!(dead_after(&events, 2, (8, 12)));
         // A shifting write never kills: [2, 6) stays live into the read.
         assert!(!dead_after(&events, 1, (2, 6)));
+    }
+
+    /// A kernel without an exchange never runs its `recv` block, so the
+    /// block contributes no event — and a buffer only it names is dead:
+    /// the optimizer drops it and the engine still runs the stream.
+    #[test]
+    fn recv_of_a_kernel_without_an_exchange_is_no_event() {
+        use crate::link::{link_program_with, LinkOptions};
+        use crate::loader::{BufferDecl, Instr, LoadedKernel, LoadedProgram, Src, ViewRef};
+        let view =
+            |buffer: &str| ViewRef { buffer: buffer.into(), offset: 0, dynamic: false, len: 4 };
+        let fill = |buffer: &str, v| Instr::Movs { dest: view(buffer), src: Src::Scalar(v) };
+        let program = LoadedProgram {
+            width: 2,
+            height: 1,
+            z_dim: 4,
+            z_halo: 0,
+            timesteps: 1,
+            buffers: ["a", "ghost"]
+                .map(|name| BufferDecl { name: name.into(), len: 4, init: 0.0 })
+                .to_vec(),
+            field_buffers: vec!["a".into()],
+            internal_fields: Vec::new(),
+            kernels: vec![LoadedKernel {
+                name: "seq_kernel0".into(),
+                pre: vec![fill("a", 1.0)],
+                comm: None,
+                recv: vec![fill("ghost", 2.0), fill("a", 3.0)],
+                done: Vec::new(),
+            }],
+        };
+        let link = |optimize| {
+            let options = LinkOptions { optimize, validate: true, ..LinkOptions::default() };
+            link_program_with(&program, &options).unwrap()
+        };
+        let events = cycle_events(&link(false));
+        let blocks: Vec<Block> =
+            events.iter().filter(|e| e.kind == EventKind::Instr).map(|e| e.block).collect();
+        assert_eq!(blocks, [Block::Pre], "{events:?}");
+
+        let optimized = link(true);
+        assert_eq!(optimized.stats.buffers_coalesced, 1, "{:?}", optimized.stats);
+        assert!(optimized.stats.rejected_passes.is_empty(), "{:?}", optimized.stats);
+        let mut sim = crate::WseGridSim::with_options(program.clone(), LinkOptions::default())
+            .expect("links");
+        sim.run(None).expect("runs");
+        let state = sim.grid_state().expect("state");
+        assert!(state.fields[0].data.iter().all(|&v| v == 1.0), "{state:?}");
     }
 
     #[test]

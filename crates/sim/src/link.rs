@@ -27,11 +27,12 @@
 //!
 //! After resolution, [`link_program`] rewrites each kernel's instruction
 //! stream into fused superinstructions (disable with
-//! [`LinkOptions::optimize`]).  Ten pass units run, in this order; each is
-//! checked (and individually reverted) by the translation validator when
-//! [`LinkOptions::validate`] is on.  No unit decides a dependence from
-//! instruction shape: each states its safety condition as a query on the
-//! dependence core ([`crate::deps`]), named after *Asks*.
+//! [`LinkOptions::optimize`]).  Ten pass units run, in this order; when
+//! [`LinkOptions::validate`] is on the translation validator checks their
+//! composition, and on a mismatch each unit, reverting the ones at fault.
+//! No unit decides a dependence from instruction shape: each states its
+//! safety condition as a query on the dependence core ([`crate::deps`]),
+//! named after *Asks*.
 //!
 //! 1. **`fuse-mul-add-pairs`** — `t = src · k; d = d + t` with `k` a
 //!    never-written splat buffer becomes `Macs(d, d, src, k)`, the
@@ -140,11 +141,12 @@ pub struct LinkOptions {
     /// validated through the conformance tolerance path against the
     /// reference executor, never the bitwise path.
     pub fast_fma: bool,
-    /// Run the translation validator over every optimizer pass: the
-    /// observable dataflow of the instruction stream (see
-    /// [`crate::validate`]) is summarized before optimization and
-    /// re-checked after each pass unit; a pass that drops or reorders a
-    /// dependence is rejected and its rewrite reverted, counted in
+    /// Run the optimizer under the translation validator: the observable
+    /// dataflow of the instruction stream (see [`crate::validate`]) is
+    /// summarized before optimization and compared with the fully
+    /// optimized stream's; if they differ the pass units replay one at a
+    /// time, and one that drops or reorders a dependence is rejected and
+    /// its rewrite reverted, counted in
     /// [`OptStats::validator_rejections`] with the pass name recorded.
     /// Defaults to on in debug builds; the conformance driver turns it on
     /// for its primary stream on every seed.
@@ -644,6 +646,28 @@ pub fn link_program_with(
     program: &LoadedProgram,
     options: &LinkOptions,
 ) -> Result<LinkedProgram, ExecError> {
+    let summary: Summary = crate::validate::observable_summary;
+    link_checked(program, options, options.validate.then_some(Check { summary, compose: true }))
+}
+
+/// [`link_program_with`] with every pass unit checked and reverted on its
+/// own against `summary` — the loop the validated link falls back to when
+/// the composed stream fails, entered directly.  For the tests that pin
+/// the composition-first entry and the witness grid against it.
+#[doc(hidden)]
+pub fn link_per_unit(
+    program: &LoadedProgram,
+    options: &LinkOptions,
+    summary: fn(&LinkedProgram) -> Vec<u64>,
+) -> Result<LinkedProgram, ExecError> {
+    link_checked(program, options, Some(Check { summary, compose: false }))
+}
+
+fn link_checked(
+    program: &LoadedProgram,
+    options: &LinkOptions,
+    check: Option<Check>,
+) -> Result<LinkedProgram, ExecError> {
     if program.width <= 0 || program.height <= 0 {
         return Err(err(
             "link-grid",
@@ -743,7 +767,7 @@ pub fn link_program_with(
     linked.stats.instrs_before = instr_count(&linked);
     linked.stats.arena_bytes_before = linked.arena_len * 4;
     if options.optimize {
-        optimize_program(&mut linked, options);
+        optimize_program(&mut linked, options.mutate, check);
     }
     finalize(&mut linked);
     Ok(linked)
@@ -963,47 +987,30 @@ fn link_view(
 // dependence query each one's safety argument rests on).
 // ------------------------------------------------------------------------
 
-/// Runs the optimizer rewrites over every kernel.
-///
-/// With [`LinkOptions::validate`] set, every pass unit runs under the
-/// translation validator: the observable dataflow summary (see
-/// [`crate::validate`]) is computed once before any rewriting, recomputed
-/// after each pass, and a pass whose rewrite changed it — i.e. dropped or
-/// reordered a dependence — is *reverted* and counted in
-/// [`OptStats::validator_rejections`] (diagnostic `E201`).  Reverting
-/// keeps the emitted stream correct even when a rewrite (or an injected
-/// [`LinkMutation`]) is broken.
-fn optimize_program(linked: &mut LinkedProgram, options: &LinkOptions) {
-    let mut stats = std::mem::take(&mut linked.stats);
-    stats.optimized = true;
-    let baseline = options.validate.then(|| crate::validate::observable_summary(linked));
-    let mutate = options.mutate;
-    let pass = |linked: &mut LinkedProgram,
-                stats: &mut OptStats,
-                name: &'static str,
-                body: &dyn Fn(&mut LinkedProgram, &mut OptStats)| {
-        let Some(base) = &baseline else {
-            body(linked, stats);
-            return;
-        };
-        let saved = linked.clone();
-        let saved_stats = stats.clone();
-        body(linked, stats);
-        stats.validated_passes += 1;
-        if crate::validate::observable_summary(linked) != *base {
-            let validated = stats.validated_passes;
-            *linked = saved;
-            *stats = saved_stats;
-            stats.validated_passes = validated;
-            stats.validator_rejections += 1;
-            stats.rejected_passes.push(name);
-        }
-    };
-    // First normalize `Binary(Mul)`+`Binary(Add)` accumulate pairs into
-    // `Macs` so streams lowered with `enable_fmac_fusion=false` feed the
-    // same chain fusion as fmacs-lowered ones.
-    pass(linked, &mut stats, "fuse-mul-add-pairs", &fuse_mul_add_pairs);
-    pass(linked, &mut stats, "fuse-block", &|linked, stats| {
+/// An observable-dataflow summary function (see [`crate::validate`]).
+type Summary = fn(&LinkedProgram) -> Vec<u64>;
+
+/// How the translation validator checks the optimizer's pass units.
+#[derive(Clone, Copy)]
+struct Check {
+    /// The summary two equivalent streams agree on.
+    summary: Summary,
+    /// Try the composition of all units before checking any one of them.
+    compose: bool,
+}
+
+/// One optimizer pass unit: the name a rejection is blamed on, and the
+/// rewrite.
+type PassUnit<'a> = (&'static str, &'a dyn Fn(&mut LinkedProgram, &mut OptStats));
+
+/// Runs the ten pass units over every kernel, under the translation
+/// validator when `check` is set ([`LinkOptions::validate`]).
+fn optimize_program(
+    linked: &mut LinkedProgram,
+    mutate: Option<LinkMutation>,
+    check: Option<Check>,
+) {
+    let fuse_blocks = |linked: &mut LinkedProgram, stats: &mut OptStats| {
         for kernel in &mut linked.kernels {
             let max_dyn = kernel.max_dyn();
             // Dynamic views only take a non-zero offset in the receive
@@ -1012,16 +1019,81 @@ fn optimize_program(linked: &mut LinkedProgram, options: &LinkOptions) {
             kernel.recv = fuse_block(&kernel.recv, max_dyn, mutate, stats);
             kernel.done = fuse_block(&kernel.done, 0, mutate, stats);
         }
-    });
-    pass(linked, &mut stats, "elide-staging", &elide_staging);
-    pass(linked, &mut stats, "flatten-chunks", &flatten_chunks);
-    pass(linked, &mut stats, "merge-single-chunk-blocks", &merge_single_chunk_blocks);
-    pass(linked, &mut stats, "fold-copies", &fold_copies);
-    pass(linked, &mut stats, "fold-binary-copies", &fold_binary_copies);
-    pass(linked, &mut stats, "elide-dead-internal-writes", &elide_dead_internal_writes);
-    pass(linked, &mut stats, "defer-commits", &defer_commits);
-    pass(linked, &mut stats, "coalesce-arena", &coalesce_arena);
+    };
+    let units: [PassUnit<'_>; 10] = [
+        // First normalize `Binary(Mul)`+`Binary(Add)` accumulate pairs into
+        // `Macs` so streams lowered with `enable_fmac_fusion=false` feed the
+        // same chain fusion as fmacs-lowered ones.
+        ("fuse-mul-add-pairs", &fuse_mul_add_pairs),
+        ("fuse-block", &fuse_blocks),
+        ("elide-staging", &elide_staging),
+        ("flatten-chunks", &flatten_chunks),
+        ("merge-single-chunk-blocks", &merge_single_chunk_blocks),
+        ("fold-copies", &fold_copies),
+        ("fold-binary-copies", &fold_binary_copies),
+        ("elide-dead-internal-writes", &elide_dead_internal_writes),
+        ("defer-commits", &defer_commits),
+        ("coalesce-arena", &coalesce_arena),
+    ];
+    let mut stats = std::mem::take(&mut linked.stats);
+    stats.optimized = true;
+    match check {
+        Some(check) => run_units_checked(linked, &mut stats, &units, check),
+        None => units.iter().for_each(|(_, unit)| unit(linked, &mut stats)),
+    }
     linked.stats = stats;
+}
+
+/// Runs `units` so that the stream left in `linked` has the observable
+/// dataflow summary (see [`crate::validate`]) it came in with — what
+/// diagnostic `E201` guarantees — whatever a unit, or an injected
+/// [`LinkMutation`], gets wrong.
+///
+/// *Compose, compare, bisect by replay.*  The guarantee is about the
+/// emitted stream, so the composition is checked first: all units run
+/// unchecked, and if the final stream summarizes like the original every
+/// unit is accepted — two summaries and one saved stream instead of one
+/// of each per unit.  Only a mismatch pays for blame: the saved stream
+/// comes back and the units replay one at a time, each compared with the
+/// baseline and *reverted* when it changed the summary — i.e. dropped or
+/// reordered a dependence — counted in
+/// [`OptStats::validator_rejections`] and named in
+/// [`OptStats::rejected_passes`].  A unit runs on the same input in the
+/// replay as it would have with no composed attempt, so whenever the
+/// composition fails, blame and the reverted stream are those of checking
+/// every unit from the start (`check.compose` off, [`link_per_unit`]).
+/// The two differ in one case only: a unit changes the summary and a
+/// later unit changes it back.  Unit by unit the first is blamed and
+/// reverted; composed, the emitted stream is equivalent, so it is
+/// accepted whole (seen under the injected mutation on hand-built
+/// programs, never on a compiled one; pinned by
+/// `a_defect_a_later_unit_undoes_is_accepted_with_the_composition`).
+fn run_units_checked(
+    linked: &mut LinkedProgram,
+    stats: &mut OptStats,
+    units: &[PassUnit<'_>],
+    check: Check,
+) {
+    let baseline = (check.summary)(linked);
+    if check.compose {
+        let saved = (linked.clone(), stats.clone());
+        units.iter().for_each(|(_, unit)| unit(linked, stats));
+        if (check.summary)(linked) == baseline {
+            stats.validated_passes += units.len();
+            return;
+        }
+        (*linked, *stats) = saved;
+    }
+    for (name, unit) in units {
+        let saved = (linked.clone(), stats.clone());
+        unit(linked, stats);
+        if (check.summary)(linked) != baseline {
+            (*linked, *stats) = saved;
+            stats.validator_rejections += 1;
+            stats.rejected_passes.push(name);
+        }
+        stats.validated_passes += 1;
+    }
 }
 
 /// One instruction as a peephole rule sees it.
@@ -2253,6 +2325,91 @@ mod tests {
             crate::validate::streams_equivalent(&reference, &guarded),
             "the reverted stream must match the unoptimized dataflow"
         );
+    }
+
+    /// Two independently broken units — the mutated fusion and a
+    /// hand-built one that drops the write-back — are both blamed, in pass
+    /// order, and each reverted; trying the composition first changes
+    /// neither the report nor the stream.
+    #[test]
+    fn two_broken_units_are_both_blamed_in_pass_order() {
+        let unoptimized = LinkOptions { optimize: false, ..LinkOptions::default() };
+        let resolved = link_program_with(&aliasing_chain_program(), &unoptimized).unwrap();
+        let fuse = |linked: &mut LinkedProgram, stats: &mut OptStats| {
+            let kernel = &mut linked.kernels[0];
+            kernel.pre = fuse_block(&kernel.pre, 0, Some(LinkMutation::DropAliasingCheck), stats);
+        };
+        let drop_write_back = |linked: &mut LinkedProgram, _: &mut OptStats| {
+            linked.kernels[0].pre.pop();
+        };
+        let units: [PassUnit<'_>; 4] = [
+            ("fuse-mul-add-pairs", &fuse_mul_add_pairs),
+            ("fuse-block", &fuse),
+            ("drop-write-back", &drop_write_back),
+            ("coalesce-arena", &coalesce_arena),
+        ];
+        let summary: Summary = crate::validate::observable_summary;
+        let run = |compose| {
+            let (mut linked, mut stats) = (resolved.clone(), OptStats::default());
+            run_units_checked(&mut linked, &mut stats, &units, Check { summary, compose });
+            (linked, stats)
+        };
+        let (linked, stats) = run(true);
+        assert_eq!(stats.rejected_passes, ["fuse-block", "drop-write-back"], "{stats:?}");
+        assert_eq!((stats.validated_passes, stats.validator_rejections), (4, 2), "{stats:?}");
+        assert_eq!(stats.fused_chains, 0, "a reverted unit's counters go with it: {stats:?}");
+        assert!(crate::validate::streams_equivalent(&resolved, &linked));
+        assert_eq!(run(false), (linked, stats));
+    }
+
+    /// The one thing composition-first reports differently: the mutated
+    /// fusion turns `t += c · t[-1]` into an in-place sweep that reads its
+    /// own writes — wrong at that unit's boundary, and blamed there by the
+    /// per-unit loop — but `fold-copies` then retargets the sweep at `a`,
+    /// off its source, and the *emitted* stream computes the original
+    /// values again.  `E201` guarantees the emitted stream, so the
+    /// composition is accepted whole; the engine agrees bit for bit.
+    #[test]
+    fn a_defect_a_later_unit_undoes_is_accepted_with_the_composition() {
+        let program = program_with(
+            vec![decl("a", 6), decl("t", 6)],
+            vec![
+                Instr::Movs { dest: view("t", 1, 4), src: Src::View(view("a", 1, 4)) },
+                Instr::Macs {
+                    dest: view("t", 1, 4),
+                    acc: view("t", 1, 4),
+                    src: view("t", 0, 4),
+                    coeff: -0.25,
+                },
+                Instr::Movs { dest: view("a", 1, 4), src: Src::View(view("t", 1, 4)) },
+            ],
+        );
+        let mutant = LinkOptions {
+            optimize: true,
+            validate: true,
+            mutate: Some(LinkMutation::DropAliasingCheck),
+            ..LinkOptions::default()
+        };
+        let reference =
+            link_program_with(&program, &LinkOptions { optimize: false, ..mutant }).unwrap();
+
+        let per_unit =
+            link_per_unit(&program, &mutant, crate::validate::observable_summary).unwrap();
+        assert_eq!(per_unit.stats.rejected_passes, ["fuse-block"], "{:?}", per_unit.stats);
+        let composed = link_program_with(&program, &mutant).unwrap();
+        assert!(composed.stats.rejected_passes.is_empty(), "{:?}", composed.stats);
+        assert_eq!(composed.stats.copies_folded, 1, "{:?}", composed.stats);
+        assert_eq!(composed.stats.validated_passes, 10, "{:?}", composed.stats);
+        for emitted in [&per_unit, &composed] {
+            assert!(crate::validate::streams_equivalent(&reference, emitted));
+        }
+
+        let state = |options| {
+            let mut sim = crate::WseGridSim::with_options(program.clone(), options).unwrap();
+            sim.run(None).unwrap();
+            sim.grid_state().unwrap()
+        };
+        assert_eq!(state(mutant), state(LinkOptions { optimize: false, ..mutant }));
     }
 
     #[test]

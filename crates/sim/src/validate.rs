@@ -22,15 +22,56 @@
 //!   overlaps its destination produces a *different* hash than the chain
 //!   it replaced, which is precisely how an unsafe fusion is caught.
 //!
-//! [`observable_summary`] runs a bounded number of full grid cycles —
-//! virtual snapshot capture, pre/staging/recv/done sweeps per PE, then
-//! the deferred commits, exactly the engine's canonical order — and
-//! collects the hash of every observable (non-internal) field interior
-//! element.  Two streams with equal summaries perform the same dataflow
-//! on every observable element; [`link`](crate::link) re-checks the
-//! summary after every optimizer pass and reverts any pass that changes
-//! it (diagnostic `E201`, counted in
+//! [`observable_summary`] runs a bounded number of grid cycles — virtual
+//! snapshot capture, pre/staging/recv/done sweeps per PE, then the
+//! deferred commits, exactly the engine's canonical order — and collects
+//! the hash of every observable (non-internal) field interior element.
+//! Two streams with equal summaries perform the same dataflow on every
+//! observable element; [`link`](crate::link) compares the summary of the
+//! optimized stream with the unoptimized one's and, when they differ,
+//! replays the optimizer pass by pass, reverting any pass that changes it
+//! (diagnostic `E201`, counted in
 //! [`OptStats::validator_rejections`](crate::link::OptStats)).
+//!
+//! # The witness grid
+//!
+//! The summary does not execute the program's `width × height` PEs.  Every
+//! PE runs the same stream on the same initial arena (its own field leaves
+//! apart), and a kernel's cross-PE reads see its neighbours' columns as
+//! they stood when the kernel *started*, so within one kernel a value
+//! moves at most `r_k = max(|dx|, |dy|)` PEs (the maximum over the
+//! kernel's receive slots, read or not) along either axis, and within the
+//! whole summary at most the **reach**
+//!
+//! ```text
+//! R = cycles · Σ_k r_k        (cycles = timesteps clamped to 1..=3)
+//! ```
+//!
+//! — a sum over kernels, because kernel `k + 1` forwards what kernel `k`
+//! fetched.  So the symbolic value of an element of PE `(x, y)` is a term
+//! over the leaves of the PEs within `R` of it, with the zero halo where
+//! that square leaves the grid; and what the term looks like depends on
+//! `(x, y)` only through how much of the square is cut off, i.e. through
+//! the class
+//!
+//! ```text
+//! (min(x, R), min(w−1−x, R), min(y, R), min(h−1−y, R)).
+//! ```
+//!
+//! Two PEs of one class — in the same grid or in grids of different size
+//! — hold the same term up to the translation between them, which renames
+//! leaves injectively; and two streams' terms are equal exactly when
+//! their renamed terms are.  A grid of `min(w, 2R+1) × min(h, 2R+1)` PEs
+//! contains every class of the `w × h` one (per axis: the `R` left-edge
+//! distances, the `R` right-edge ones, and one interior PE with `R` on
+//! both sides) and no other, so two streams' summaries are equal on it if
+//! and only if they are equal on the full grid: the same verdict, at a
+//! cost of `O((2R+1)² · z · cycles)` per summary instead of
+//! `O(w · h · z · cycles)`.  A comm-less program is validated on one PE, a
+//! radius-1 Jacobian on 7 × 7 whatever the wafer.  Both streams of one
+//! link share the slot list, hence the witness; streams whose reach
+//! differed would get summaries of different length, which compare
+//! unequal — the safe side.
 //!
 //! Scope: the model is sequential per kernel (snapshot, sweeps, commits).
 //! Schedule-dependent hazards — a sweep writing a column a neighbor band
@@ -38,7 +79,7 @@
 //! the static race detector's department (`crates/analysis`, diagnostics
 //! `E101`/`E102`).
 
-use crate::link::{FusedInit, LinkedInstr, LinkedKernel, LinkedProgram, SrcRef};
+use crate::link::{FusedInit, LinkedComm, LinkedInstr, LinkedKernel, LinkedProgram, SrcRef};
 use crate::loader::BinKind;
 
 const TAG_CONST: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -81,21 +122,41 @@ fn field_val(field: usize, pe: usize, z: usize) -> u64 {
     h(TAG_FIELD, h(TAG_FIELD, field as u64, pe as u64), z as u64)
 }
 
-fn mac(acc: u64, src: u64, coeff: f32) -> u64 {
-    hc(TAG_ADD, acc, hc(TAG_MUL, src, const_val(coeff.to_bits())))
+/// `acc + src · k` for a coefficient already hashed by [`const_val`].
+fn mac(acc: u64, src: u64, k: u64) -> u64 {
+    hc(TAG_ADD, acc, hc(TAG_MUL, src, k))
 }
 
-/// The symbolic grid: one `u64` per arena element per PE.
+/// Where a fused term's element `j` comes from, resolved once per sweep.
+#[derive(Clone, Copy)]
+enum TermSrc {
+    /// Element `start + j` of the PE's own arena.
+    Arena(usize),
+    /// Element `start + j` of the snapshot buffer (a neighbour's column).
+    Snap(usize),
+    /// The zero halo: the neighbour lies outside the grid.
+    Zero,
+}
+
+/// The symbolic grid — one `u64` per arena element per PE — and the
+/// interpreter's temporaries, allocated once per summary.
 struct AbstractGrid {
     vals: Vec<u64>,
     arena_len: usize,
     width: i64,
     height: i64,
+    /// The running kernel's snapshot: for each PE, each snapped field's
+    /// full column (`copy_len` captured elements, zero-hash tail).
+    snaps: Vec<u64>,
+    /// Gather buffer of the scratch-semantics instructions.
+    tmp: Vec<u64>,
+    /// The running sweep's terms: hashed coefficient and resolved source.
+    terms: Vec<(u64, TermSrc)>,
 }
 
 impl AbstractGrid {
-    fn initial(linked: &LinkedProgram) -> Self {
-        let n_pes = (linked.width * linked.height) as usize;
+    fn initial(linked: &LinkedProgram, width: i64, height: i64) -> Self {
+        let n_pes = (width * height) as usize;
         let mut vals = vec![0u64; n_pes * linked.arena_len];
         for pe in 0..n_pes {
             let arena = &mut vals[pe * linked.arena_len..][..linked.arena_len];
@@ -111,166 +172,178 @@ impl AbstractGrid {
                 }
             }
         }
-        Self { vals, arena_len: linked.arena_len, width: linked.width, height: linked.height }
+        let (snaps, tmp, terms) = (Vec::new(), Vec::new(), Vec::new());
+        Self { vals, arena_len: linked.arena_len, width, height, snaps, tmp, terms }
+    }
+
+    fn n_pes(&self) -> usize {
+        (self.width * self.height) as usize
     }
 
     fn pe(&self, pe: usize) -> &[u64] {
         &self.vals[pe * self.arena_len..][..self.arena_len]
     }
 
-    fn pe_mut(&mut self, pe: usize) -> &mut [u64] {
-        &mut self.vals[pe * self.arena_len..][..self.arena_len]
-    }
-}
-
-/// Per-kernel snapshot: for each PE, each snapped field's full column
-/// (`copy_len` captured elements, zero-hash tail), captured from the
-/// arenas before any sweep of the kernel — the canonical semantics for
-/// both the real capture and the capture-elided deferred-commit path.
-fn capture_snapshots(grid: &AbstractGrid, kernel: &LinkedKernel) -> Vec<Vec<Vec<u64>>> {
-    let Some(comm) = &kernel.comm else { return Vec::new() };
-    let n_pes = (grid.width * grid.height) as usize;
-    let zero = const_val(0.0f32.to_bits());
-    (0..n_pes)
-        .map(|pe| {
-            comm.snap_fields
-                .iter()
-                .map(|f| {
-                    let mut col = vec![zero; comm.col_len];
-                    col[..f.copy_len].copy_from_slice(&grid.pe(pe)[f.src_base..][..f.copy_len]);
-                    col
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Runs one instruction block for one PE at the given chunk offset.
-fn run_block(
-    grid: &mut AbstractGrid,
-    snaps: &[Vec<Vec<u64>>],
-    kernel: &LinkedKernel,
-    x: i64,
-    y: i64,
-    instrs: &[LinkedInstr],
-    chunk_offset: usize,
-) {
-    let pe = (y * grid.width + x) as usize;
-    let zero = const_val(0.0f32.to_bits());
-    // Resolves a fused term's slot source: element `i` of the neighbor's
-    // transmitted column window (zero hashes outside the grid).
-    let slot_elem = |grid: &AbstractGrid, slot: u32, offset: u32, i: usize| -> u64 {
-        let comm = kernel.comm.as_ref().expect("slot read requires an exchange");
-        let spec = &comm.slots[slot as usize];
-        let (nx, ny) = (x + spec.dx, y + spec.dy);
-        if nx < 0 || ny < 0 || nx >= grid.width || ny >= grid.height {
-            return zero;
+    /// Captures the kernel's snapshot from the arenas before any of its
+    /// sweeps — the canonical semantics for both the real capture and the
+    /// capture-elided deferred-commit path.
+    fn capture_snapshots(&mut self, comm: &LinkedComm) {
+        let stride = comm.snap_fields.len() * comm.col_len;
+        self.snaps.clear();
+        self.snaps.resize(self.n_pes() * stride, const_val(0.0f32.to_bits()));
+        if stride == 0 {
+            return;
         }
-        let neighbor = (ny * grid.width + nx) as usize;
-        snaps[neighbor][spec.snap_index][offset as usize + chunk_offset + i]
-    };
-    for instr in instrs {
-        match instr {
-            LinkedInstr::Fill { dest, value } => {
-                let v = const_val(value.to_bits());
-                grid.pe_mut(pe)[dest.range(chunk_offset)].fill(v);
+        for (arena, snap) in
+            self.vals.chunks_exact(self.arena_len).zip(self.snaps.chunks_exact_mut(stride))
+        {
+            for (f, col) in comm.snap_fields.iter().zip(snap.chunks_exact_mut(comm.col_len)) {
+                col[..f.copy_len].copy_from_slice(&arena[f.src_base..][..f.copy_len]);
             }
-            LinkedInstr::Copy { dest, src } => {
-                // memmove semantics: gather, then write.
-                let tmp: Vec<u64> = grid.pe(pe)[src.range(chunk_offset)].to_vec();
-                grid.pe_mut(pe)[dest.range(chunk_offset)].copy_from_slice(&tmp);
+        }
+    }
+
+    /// Start of the column PE `pe` receives through `slot`, in
+    /// [`Self::snaps`]; `None` when that neighbour lies outside the grid.
+    fn slot_column(&self, comm: &LinkedComm, slot: usize, pe: usize) -> Option<usize> {
+        let spec = &comm.slots[slot];
+        let (x, y) = (pe as i64 % self.width, pe as i64 / self.width);
+        let (nx, ny) = (x.checked_add(spec.dx)?, y.checked_add(spec.dy)?);
+        if nx < 0 || ny < 0 || nx >= self.width || ny >= self.height {
+            return None;
+        }
+        let neighbor = (ny * self.width + nx) as usize;
+        Some((neighbor * comm.snap_fields.len() + spec.snap_index) * comm.col_len)
+    }
+
+    /// Staged slots: copies this chunk's window of each neighbour column
+    /// into the PE's receive buffer.
+    fn stage_chunk(&mut self, comm: &LinkedComm, pe: usize, chunk_offset: usize) {
+        for (slot, _) in comm.slots.iter().enumerate().filter(|(_, s)| s.staged) {
+            let start = pe * self.arena_len + comm.recv_base + slot * comm.chunk_size;
+            let column = self.slot_column(comm, slot, pe);
+            let window = &mut self.vals[start..start + comm.chunk_size];
+            match column {
+                Some(col) => window.copy_from_slice(
+                    &self.snaps[col..col + comm.col_len][chunk_offset..][..comm.chunk_size],
+                ),
+                None => window.fill(const_val(0.0f32.to_bits())),
             }
-            LinkedInstr::Binary { kind, dest, a, b } => {
-                let arena = grid.pe(pe);
-                let (ra, rb) = (a.range(chunk_offset), b.range(chunk_offset));
-                let tmp: Vec<u64> = (0..dest.len as usize)
-                    .map(|i| {
-                        let (va, vb) = (arena[ra.start + i], arena[rb.start + i]);
-                        match kind {
-                            BinKind::Add => hc(TAG_ADD, va, vb),
-                            BinKind::Mul => hc(TAG_MUL, va, vb),
-                            BinKind::Sub => h(TAG_SUB, va, vb),
+        }
+    }
+
+    /// Runs one instruction block for one PE at the given chunk offset.
+    fn run_block(
+        &mut self,
+        kernel: &LinkedKernel,
+        pe: usize,
+        instrs: &[LinkedInstr],
+        chunk_offset: usize,
+    ) {
+        for instr in instrs {
+            // Resolve a sweep's terms before borrowing the arena: element
+            // `j` of a slot source is element `offset + chunk_offset + j`
+            // of the neighbour's transmitted column.
+            if let LinkedInstr::FusedMacs { terms, .. } = instr {
+                self.terms.clear();
+                for term in terms {
+                    let src = match &term.src {
+                        SrcRef::Arena(view) => TermSrc::Arena(view.range(chunk_offset).start),
+                        SrcRef::Slot { slot, offset, len } => {
+                            let comm =
+                                kernel.comm.as_ref().expect("slot read requires an exchange");
+                            let first = *offset as usize + chunk_offset;
+                            assert!(
+                                first + *len as usize <= comm.col_len,
+                                "slot read past its column"
+                            );
+                            self.slot_column(comm, *slot as usize, pe)
+                                .map_or(TermSrc::Zero, |col| TermSrc::Snap(col + first))
                         }
-                    })
-                    .collect();
-                grid.pe_mut(pe)[dest.range(chunk_offset)].copy_from_slice(&tmp);
-            }
-            LinkedInstr::Macs { dest, acc, src, coeff } => {
-                let arena = grid.pe(pe);
-                let (racc, rsrc) = (acc.range(chunk_offset), src.range(chunk_offset));
-                let tmp: Vec<u64> = (0..dest.len as usize)
-                    .map(|i| mac(arena[racc.start + i], arena[rsrc.start + i], *coeff))
-                    .collect();
-                grid.pe_mut(pe)[dest.range(chunk_offset)].copy_from_slice(&tmp);
-            }
-            LinkedInstr::FusedMacs { dest, init, terms } => {
-                // One-pass in-place sweep: element j is written before
-                // element j+1 is computed, so an (illegally) overlapping
-                // source observes the sweep's own writes — and the
-                // summary diverges from the unfused chain's.
-                let rd = dest.range(chunk_offset);
-                for j in 0..dest.len as usize {
-                    let mut v = match init {
-                        FusedInit::Fill(c) => const_val(c.to_bits()),
-                        FusedInit::Acc(a) => grid.pe(pe)[a.range(chunk_offset).start + j],
                     };
-                    for term in terms {
-                        let s = match &term.src {
-                            SrcRef::Arena(view) => grid.pe(pe)[view.range(chunk_offset).start + j],
-                            SrcRef::Slot { slot, offset, .. } => slot_elem(grid, *slot, *offset, j),
+                    self.terms.push((const_val(term.coeff.to_bits()), src));
+                }
+            }
+            let Self { vals, snaps, tmp, terms, .. } = self;
+            let arena = &mut vals[pe * self.arena_len..][..self.arena_len];
+            match instr {
+                LinkedInstr::Fill { dest, value } => {
+                    arena[dest.range(chunk_offset)].fill(const_val(value.to_bits()));
+                }
+                LinkedInstr::Copy { dest, src } => {
+                    // memmove semantics.
+                    arena.copy_within(src.range(chunk_offset), dest.range(chunk_offset).start);
+                }
+                // Scratch semantics: gather every result, then write.
+                LinkedInstr::Binary { kind, dest, a, b } => {
+                    let (ra, rb) = (a.range(chunk_offset), b.range(chunk_offset));
+                    tmp.clear();
+                    tmp.extend(arena[ra].iter().zip(&arena[rb]).map(|(&va, &vb)| match kind {
+                        BinKind::Add => hc(TAG_ADD, va, vb),
+                        BinKind::Mul => hc(TAG_MUL, va, vb),
+                        BinKind::Sub => h(TAG_SUB, va, vb),
+                    }));
+                    arena[dest.range(chunk_offset)].copy_from_slice(tmp);
+                }
+                LinkedInstr::Macs { dest, acc, src, coeff } => {
+                    let (racc, rsrc) = (acc.range(chunk_offset), src.range(chunk_offset));
+                    let k = const_val(coeff.to_bits());
+                    tmp.clear();
+                    tmp.extend(
+                        arena[racc].iter().zip(&arena[rsrc]).map(|(&va, &vs)| mac(va, vs, k)),
+                    );
+                    arena[dest.range(chunk_offset)].copy_from_slice(tmp);
+                }
+                LinkedInstr::FusedMacs { dest, init, .. } => {
+                    // One-pass in-place sweep: element j is written before
+                    // element j+1 is computed, so an (illegally) overlapping
+                    // source observes the sweep's own writes — and the
+                    // summary diverges from the unfused chain's.
+                    let rd = dest.range(chunk_offset);
+                    for j in 0..dest.len as usize {
+                        let mut v = match init {
+                            FusedInit::Fill(c) => const_val(c.to_bits()),
+                            FusedInit::Acc(a) => arena[a.range(chunk_offset).start + j],
                         };
-                        v = mac(v, s, term.coeff);
+                        for &(k, src) in terms.iter() {
+                            let s = match src {
+                                TermSrc::Arena(start) => arena[start + j],
+                                TermSrc::Snap(start) => snaps[start + j],
+                                TermSrc::Zero => const_val(0.0f32.to_bits()),
+                            };
+                            v = mac(v, s, k);
+                        }
+                        arena[rd.start + j] = v;
                     }
-                    grid.pe_mut(pe)[rd.start + j] = v;
                 }
             }
         }
     }
-}
 
-/// Runs one full grid cycle (every kernel, every PE, commits last —
-/// the engine's canonical order).
-fn run_cycle(grid: &mut AbstractGrid, linked: &LinkedProgram) {
-    let n_pes = (linked.width * linked.height) as usize;
-    for kernel in &linked.kernels {
-        let snaps = capture_snapshots(grid, kernel);
-        for pe in 0..n_pes {
-            let (x, y) = ((pe as i64) % linked.width, (pe as i64) / linked.width);
-            run_block(grid, &snaps, kernel, x, y, &kernel.pre, 0);
+    /// Runs one full grid cycle (every kernel, every PE, commits last —
+    /// the engine's canonical order).
+    fn run_cycle(&mut self, linked: &LinkedProgram) {
+        for kernel in &linked.kernels {
             if let Some(comm) = &kernel.comm {
-                for chunk in 0..comm.num_chunks {
-                    let chunk_offset = chunk * comm.chunk_size;
-                    // Staged slots: copy this chunk's window of the
-                    // neighbor column into the receive buffer.
-                    for (slot, spec) in comm.slots.iter().enumerate() {
-                        if !spec.staged {
-                            continue;
-                        }
-                        let window: Vec<u64> = (0..comm.chunk_size)
-                            .map(|i| {
-                                let (nx, ny) = (x + spec.dx, y + spec.dy);
-                                if nx < 0 || ny < 0 || nx >= grid.width || ny >= grid.height {
-                                    const_val(0.0f32.to_bits())
-                                } else {
-                                    let neighbor = (ny * grid.width + nx) as usize;
-                                    snaps[neighbor][spec.snap_index][chunk_offset + i]
-                                }
-                            })
-                            .collect();
-                        let start = comm.recv_base + slot * comm.chunk_size;
-                        grid.pe_mut(pe)[start..start + comm.chunk_size].copy_from_slice(&window);
-                    }
-                    run_block(grid, &snaps, kernel, x, y, &kernel.recv, chunk_offset);
-                }
+                self.capture_snapshots(comm);
             }
-            run_block(grid, &snaps, kernel, x, y, &kernel.done, 0);
-        }
-        // Deferred commits: after every PE's sweep, before the next
-        // kernel (the run phase lags them by rows or a barrier; the
-        // observable end state is this).
-        for pe in 0..n_pes {
-            let (x, y) = ((pe as i64) % linked.width, (pe as i64) / linked.width);
-            run_block(grid, &snaps, kernel, x, y, &kernel.commit, 0);
+            for pe in 0..self.n_pes() {
+                self.run_block(kernel, pe, &kernel.pre, 0);
+                if let Some(comm) = &kernel.comm {
+                    for chunk in 0..comm.num_chunks {
+                        let chunk_offset = chunk * comm.chunk_size;
+                        self.stage_chunk(comm, pe, chunk_offset);
+                        self.run_block(kernel, pe, &kernel.recv, chunk_offset);
+                    }
+                }
+                self.run_block(kernel, pe, &kernel.done, 0);
+            }
+            // Deferred commits: after every PE's sweep, before the next
+            // kernel (the run phase lags them by rows or a barrier; the
+            // observable end state is this).
+            for pe in 0..self.n_pes() {
+                self.run_block(kernel, pe, &kernel.commit, 0);
+            }
         }
     }
 }
@@ -290,12 +363,43 @@ fn cycles(linked: &LinkedProgram) -> usize {
 /// offset, so the summary is invariant under arena coalescing and buffer
 /// renaming — two streams compare equal iff they compute the same values,
 /// not iff they use the same layout.
+///
+/// Runs on the witness grid of the module header, not on
+/// `linked.width × linked.height`: equality of two streams' summaries is
+/// the same verdict on either, and the witness costs a neighbourhood.
 pub fn observable_summary(linked: &LinkedProgram) -> Vec<u64> {
-    let mut grid = AbstractGrid::initial(linked);
+    let (width, height) = witness_dims(linked);
+    summary_on(linked, width, height)
+}
+
+/// How far, in PEs along either axis, a value can travel within the
+/// summary: `cycles · Σ_k r_k` with `r_k = max(|dx|, |dy|)` over kernel
+/// `k`'s receive slots (read or not — an unread slot only widens the
+/// witness).
+fn reach(linked: &LinkedProgram) -> u64 {
+    let per_cycle = linked.kernels.iter().filter_map(|k| k.comm.as_ref()).fold(0u64, |sum, c| {
+        let r = c.slots.iter().map(|s| s.dx.unsigned_abs().max(s.dy.unsigned_abs())).max();
+        sum.saturating_add(r.unwrap_or(0))
+    });
+    per_cycle.saturating_mul(cycles(linked) as u64)
+}
+
+/// The witness grid: `min(w, 2R+1) × min(h, 2R+1)` for reach `R`.
+fn witness_dims(linked: &LinkedProgram) -> (i64, i64) {
+    let side = i64::try_from(reach(linked).saturating_mul(2).saturating_add(1)).unwrap_or(i64::MAX);
+    (linked.width.min(side), linked.height.min(side))
+}
+
+/// [`observable_summary`] on an explicit `width × height` PE grid.  Only
+/// the witness-equivalence tests call this with anything but the witness
+/// dims (they pass the program's own, the pre-witness behaviour).
+#[doc(hidden)]
+pub fn summary_on(linked: &LinkedProgram, width: i64, height: i64) -> Vec<u64> {
+    let mut grid = AbstractGrid::initial(linked, width, height);
     for _ in 0..cycles(linked) {
-        run_cycle(&mut grid, linked);
+        grid.run_cycle(linked);
     }
-    let n_pes = (linked.width * linked.height) as usize;
+    let n_pes = grid.n_pes();
     let mut summary = Vec::new();
     for (fi, id) in linked.field_ids.iter().enumerate() {
         if linked.field_internal.get(fi).copied().unwrap_or(false) {

@@ -63,18 +63,7 @@ fn main() {
             // Wider workload space: larger grids/radii, more coupled
             // equations, longer runs.  Slower per case; used for deeper
             // local soaking, not the CI budget.
-            "--stress" => {
-                config = GeneratorConfig {
-                    max_grid_xy: 11,
-                    max_grid_z: 24,
-                    max_fields: 4,
-                    max_equations: 4,
-                    max_radius_xy: 4,
-                    max_radius_z: 4,
-                    max_timesteps: 4,
-                    ..GeneratorConfig::default()
-                };
-            }
+            "--stress" => config = GeneratorConfig::stress(),
             // The nightly soak profile: large grids, deep timestep counts,
             // and per-shape error bounds instead of the flat 1e-3.  Far
             // slower per case than the PR-gating profiles.

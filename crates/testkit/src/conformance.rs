@@ -487,6 +487,68 @@ pub fn check_optimizer_transparent(loaded: &LoadedProgram) -> Result<OptStats, S
     }
 }
 
+/// Checks the translation validator's two shortcuts on `loaded`, clean and
+/// under the `DropAliasingCheck` mutation, against the check they replace.
+/// *Witness grid*: checking every pass unit on the program's own
+/// `width × height` PEs and on the witness grid link the identical stream
+/// with the identical report (rejections, blame, skip and fusion counts),
+/// and the summary tells the unchecked optimized stream from the
+/// unoptimized one on the witness exactly when it does on the full grid.
+/// *Composition first*: the entry users call links that same stream and
+/// report — or, the one licence it takes, accepts the unchecked stream
+/// whole because it *is* equivalent to the unoptimized one on the full
+/// grid, although a unit on its own was not (a later unit undid its
+/// damage).  Returns whether that happened (`Ok(true)`: the composition
+/// masked a unit the per-unit check blames), or what differed.
+pub fn check_validator_shortcuts(loaded: &LoadedProgram) -> Result<bool, String> {
+    use wse_sim::link::{link_per_unit, link_program_with, LinkMutation, LinkedProgram};
+    use wse_sim::validate::{observable_summary, summary_on};
+    let full_grid = |l: &LinkedProgram| summary_on(l, l.width, l.height);
+    let link = |options| link_program_with(loaded, &options).map_err(|e| e.message);
+    let unoptimized = link(LinkOptions { optimize: false, ..LinkOptions::default() })?;
+    let (reference_on_full, reference_on_witness) =
+        (full_grid(&unoptimized), observable_summary(&unoptimized));
+    let (mut clean_unchecked, mut masked) = (None, false);
+    for mutate in [None, Some(LinkMutation::DropAliasingCheck)] {
+        let checked = LinkOptions { optimize: true, validate: true, mutate, ..Default::default() };
+        let unchecked = link(LinkOptions { validate: false, ..checked })?;
+        if clean_unchecked.as_ref() == Some(&unchecked) {
+            continue; // the mutation found no aliasing chain to break: nothing new to check
+        }
+        let on_full = link_per_unit(loaded, &checked, full_grid).map_err(|e| e.message)?;
+        let on_witness =
+            link_per_unit(loaded, &checked, observable_summary).map_err(|e| e.message)?;
+        if on_witness != on_full {
+            return Err(format!(
+                "{mutate:?}: per-unit verdicts differ, witness {:?} vs full grid {:?}",
+                on_witness.stats, on_full.stats
+            ));
+        }
+        let equal_on_full = reference_on_full == full_grid(&unchecked);
+        let equal_on_witness = reference_on_witness == observable_summary(&unchecked);
+        if equal_on_full != equal_on_witness {
+            return Err(format!(
+                "{mutate:?}: unchecked stream equals the unoptimized one on the full grid: \
+                 {equal_on_full}, on the witness: {equal_on_witness}"
+            ));
+        }
+        let composed = link(checked)?;
+        if composed != on_witness {
+            let mut whole = unchecked.clone();
+            whole.stats.validated_passes = on_witness.stats.validated_passes;
+            if !(equal_on_full && composed == whole) {
+                return Err(format!(
+                    "{mutate:?}: composition-first {:?} vs per-unit {:?}",
+                    composed.stats, on_witness.stats
+                ));
+            }
+            masked = true;
+        }
+        clean_unchecked.get_or_insert(unchecked);
+    }
+    Ok(masked)
+}
+
 /// Returns a description of the first bitwise difference between two grid
 /// states, or `None` when they are bit-for-bit identical.
 pub fn bitwise_difference(a: &GridState, b: &GridState) -> Option<String> {

@@ -64,6 +64,23 @@ impl Default for GeneratorConfig {
     }
 }
 
+impl GeneratorConfig {
+    /// The wider workload space of the conformance bin's `--stress`:
+    /// larger grids and radii, more coupled equations, longer runs.
+    pub fn stress() -> Self {
+        Self {
+            max_grid_xy: 11,
+            max_grid_z: 24,
+            max_fields: 4,
+            max_equations: 4,
+            max_radius_xy: 4,
+            max_radius_z: 4,
+            max_timesteps: 4,
+            ..Self::default()
+        }
+    }
+}
+
 /// One generated conformance case: the program and how to compile it.
 #[derive(Debug, Clone)]
 pub struct ConformanceCase {

@@ -797,7 +797,7 @@ mod simd_tails {
 /// the pass declined (or, for the safe twin, still fired), and under
 /// `validate: true` the un-mutated optimizer never needs a revert.
 mod hand_built_dependences {
-    use testkit::conformance::check_optimizer_transparent;
+    use testkit::conformance::{check_optimizer_transparent, check_validator_shortcuts};
     use wse_sim::loader::{
         BufferDecl, CommSpec, Instr, LoadedKernel, LoadedProgram, SlotSpec, Src, ViewRef,
     };
@@ -848,8 +848,14 @@ mod hand_built_dependences {
         }
     }
 
-    /// Asserts the three pins above and returns the optimizer's report.
+    /// Asserts the three pins above — and that the validator's witness
+    /// grid and composition-first entry report what the full-grid per-unit
+    /// check does — and returns the optimizer's report.
     fn assert_transparent(loaded: &LoadedProgram) -> OptStats {
+        // Nine PEs wide, so the witness (reach 2: five) is a real crop.
+        let wide = LoadedProgram { width: 9, ..loaded.clone() };
+        let masked = check_validator_shortcuts(&wide).unwrap_or_else(|e| panic!("{e}"));
+        assert!(!masked, "the composition masked a unit the per-unit check reverts");
         check_optimizer_transparent(loaded).unwrap_or_else(|e| panic!("{e}"))
     }
 

@@ -7,7 +7,9 @@
 //! contract: a diverging schedule implies a flagged stream).
 
 use proptest::prelude::*;
-use testkit::conformance::{bitwise_difference, check_optimizer_transparent};
+use testkit::conformance::{
+    bitwise_difference, check_optimizer_transparent, check_validator_shortcuts,
+};
 use testkit::generate_case;
 use wse_analysis::{dag::Block, has_errors, Analyzer, EdgeKind, NodeKind};
 use wse_frontends::ast::{Expr, Frontend, GridSpec, StencilEquation, StencilProgram};
@@ -535,6 +537,13 @@ proptest! {
         let loaded = hand_built_loaded_program(&shape, &ops);
         let verdict = check_optimizer_transparent(&loaded);
         prop_assert!(verdict.is_ok(), "{}\n{loaded:#?}", verdict.unwrap_err());
+        // And whatever the validator says about them, mutant included, it
+        // says the same on its witness grid (reach 2: 5 × 5) as on all
+        // 7 × 6 PEs, and trying the composition first reports what checking
+        // unit by unit does — or accepts a stream that is equivalent whole.
+        let wide = LoadedProgram { width: 7, height: 6, ..loaded };
+        let verdict = check_validator_shortcuts(&wide);
+        prop_assert!(verdict.is_ok(), "{}\n{wide:#?}", verdict.unwrap_err());
     }
 }
 
