@@ -1151,7 +1151,9 @@ impl WorkerPool {
         self.generation += 1;
         let generation = self.generation;
         let ctx_ptr = ctx as *const KernelCtx<'_> as *const ();
-        let njobs = if band_elems == 0 { 0 } else { arenas.len().div_ceil(band_elems) };
+        // `run_kernel` returns before dispatch on an empty row.
+        debug_assert!(band_elems > 0, "a row band holds at least one element");
+        let njobs = arenas.len().div_ceil(band_elems);
         let fault = fault.map(|(band, kind)| (band % njobs.max(1), kind));
         let mut jobs = 0usize;
         for (b, band) in arenas.chunks_mut(band_elems).enumerate() {

@@ -16,7 +16,7 @@
 //! [`Isa::detect`] picks the implementation at runtime: 8-lane AVX2
 //! where the host has it, the portable scalar set everywhere else.
 //! [`crate::link::LinkOptions::simd`]` = false` forces the scalar set so
-//! conformance and benches can pin the vector path against it.
+//! conformance and `wse-perf` can pin the vector path against it.
 //!
 //! # The bitwise guarantee
 //!
@@ -128,15 +128,7 @@ impl Isa {
         Isa::Scalar
     }
 
-    /// f32 lanes per vector operation.
-    pub fn lanes(self) -> usize {
-        match self {
-            Isa::Scalar => 1,
-            Isa::Avx2 => 8,
-        }
-    }
-
-    /// Human-readable name (for bench output and stats).
+    /// Human-readable name (for benchmark host records and test output).
     pub fn name(self) -> &'static str {
         match self {
             Isa::Scalar => "scalar",
@@ -753,10 +745,6 @@ mod tests {
 
     #[test]
     fn detection_is_ordered_and_lanes_are_consistent() {
-        let isa = Isa::detect();
-        assert!(isa.lanes() >= 1);
-        assert_eq!(Isa::Scalar.lanes(), 1);
-        assert_eq!(Isa::Avx2.lanes(), 8);
         // The table returns a set compiled for what we asked.
         for isa in [Isa::Scalar, Isa::Avx2] {
             // Construction is safe; only *calling* requires the feature.

@@ -8,7 +8,7 @@
 //!   per-PE program;
 //! * [`link`] — compiles the loaded program into a flat-memory form:
 //!   interned buffer ids, one arena per PE, resolved instruction streams
-//!   with all bounds validated up front, then optimized by ten pass
+//!   with all bounds validated up front, then optimized by eight pass
 //!   units whose safety conditions are queries on [`deps`];
 //! * [`deps`] — the dependence core: the single per-instruction operand
 //!   match, the events of one program cycle, and the interval, liveness,

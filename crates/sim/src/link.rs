@@ -27,7 +27,7 @@
 //!
 //! After resolution, [`link_program`] rewrites each kernel's instruction
 //! stream into fused superinstructions (disable with
-//! [`LinkOptions::optimize`]).  Ten pass units run, in this order; when
+//! [`LinkOptions::optimize`]).  Eight pass units run, in this order; when
 //! [`LinkOptions::validate`] is on the translation validator checks their
 //! composition, and on a mismatch each unit, reverting the ones at fault.
 //! No unit decides a dependence from instruction shape: each states its
@@ -61,26 +61,22 @@
 //!    `pre`, `recv` and `done` run back to back, so they concatenate and
 //!    adjacent sweeps over one destination merge.  *Asks* nothing: views
 //!    must be the *same range*, and sources are already disjoint from it.
-//! 6. **`fold-copies`** — a sweep into an accumulator that is immediately
-//!    copied out retargets the output and the `Copy` disappears.
-//!    *Asks* `overlaps`: everything the sweep reads against the output;
-//!    `dead_after`: the dropped write to the accumulator — walking the
-//!    cyclic execution order, chunk loop included, with observable field
-//!    interiors always live.
-//! 7. **`fold-binary-copies`** — the same for an unfused `Binary` and its
-//!    write-back (the product-kernel shape).  *Asks* `overlaps` /
-//!    `views_disjoint`: both sources and the scratch against the output;
-//!    `dead_after`: the scratch.
-//! 8. **`elide-dead-internal-writes`** — a write to a compiler-internal
-//!    double-buffer field that nothing reads is removed.  *Asks* `dead_after`.
-//! 9. **`defer-commits`** — when every write to a transmitted field is a
+//! 6. **`fold-dead-writes`** — a write the rest of the cycle never reads
+//!    goes.  A sweep or an unfused `Binary` (the product-kernel shape)
+//!    whose result is immediately copied out retargets the output and the
+//!    `Copy` disappears; a write to a compiler-internal double-buffer field
+//!    that nothing reads is removed.  *Asks* `overlaps`: everything the
+//!    folded instruction touches against the output; `dead_after`: the
+//!    dropped write — walking the cyclic execution order, chunk loop
+//!    included, with observable field interiors always live.
+//! 7. **`defer-commits`** — when every write to a transmitted field is a
 //!    trailing write-back, the write-backs move to [`LinkedKernel::commit`]
 //!    and the snapshot capture is elided.  *Asks* `operands().slot_src`: a
 //!    deferred instruction may not read a slot; destination buffers
 //!    against the transmitted fields.
-//! 10. **`coalesce-arena`** — buffers no instruction, receive slot or
-//!     snapshot references are removed and the arena re-packed.
-//!     *Asks* `cycle_events`: every span any step of the cycle touches.
+//! 8. **`coalesce-arena`** — buffers no instruction, receive slot or
+//!    snapshot references are removed and the arena re-packed.
+//!    *Asks* `cycle_events`: every span any step of the cycle touches.
 //!
 //! Every rewrite preserves *bitwise* results: fused sweeps perform the
 //! identical sequence of f32 multiplies and adds per element as the
@@ -124,7 +120,7 @@ pub enum LinkMutation {
 /// Options controlling the link phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkOptions {
-    /// Run the link-time optimizer: the ten pass units of the module
+    /// Run the link-time optimizer: the eight pass units of the module
     /// header, from `fuse-mul-add-pairs` to `coalesce-arena`.  Optimized
     /// and unoptimized streams produce bitwise identical results; the
     /// toggle exists so conformance can prove it.
@@ -529,18 +525,6 @@ pub struct OptStats {
     /// Writes to internal double-buffer fields removed because the cyclic
     /// liveness scan proved them dead (fully overwritten before any read).
     pub dead_writes_elided: usize,
-    /// Arithmetic operations (binaries, multiply-accumulates, sweep
-    /// groups) planned onto vector SIMD kernels (see [`crate::plan`]).
-    pub simd_planned: usize,
-    /// Arithmetic operations planned onto the portable scalar kernel set
-    /// (SIMD disabled, or no vector unit on the host).  Exactly one of
-    /// `simd_planned`/`simd_fallback` is non-zero on any program with
-    /// arithmetic.
-    pub simd_fallback: usize,
-    /// Unfused `Binary`/`Macs` operations whose scratch round-trip the
-    /// planner elided because the linker proved every source view is
-    /// either exactly the destination or disjoint from it.
-    pub scratch_elided: usize,
     /// Per-PE arena bytes before coalescing.
     pub arena_bytes_before: usize,
     /// Per-PE arena bytes after coalescing.
@@ -793,15 +777,6 @@ fn finalize(linked: &mut LinkedProgram) {
             kernel.work_per_pe += c.num_chunks * (elements(&kernel.recv) + staged * c.chunk_size);
         }
     }
-    // Run the kernel planner once for its report: how many arithmetic ops
-    // land on vector kernels vs the scalar fallback, and how many scratch
-    // round-trips the disjointness proofs elide.  (The run phase rebuilds
-    // the plan at construction time — planning is a cheap walk over the
-    // static instruction stream.)
-    let counts = crate::plan::plan_program(linked).counts;
-    linked.stats.simd_planned = counts.simd_planned;
-    linked.stats.simd_fallback = counts.simd_fallback;
-    linked.stats.scratch_elided = counts.scratch_elided;
 }
 
 /// The buffer containing arena offset `offset`.  Layouts are laid out back
@@ -1003,7 +978,7 @@ struct Check {
 /// rewrite.
 type PassUnit<'a> = (&'static str, &'a dyn Fn(&mut LinkedProgram, &mut OptStats));
 
-/// Runs the ten pass units over every kernel, under the translation
+/// Runs the eight pass units over every kernel, under the translation
 /// validator when `check` is set ([`LinkOptions::validate`]).
 fn optimize_program(
     linked: &mut LinkedProgram,
@@ -1020,7 +995,7 @@ fn optimize_program(
             kernel.done = fuse_block(&kernel.done, 0, mutate, stats);
         }
     };
-    let units: [PassUnit<'_>; 10] = [
+    let units: [PassUnit<'_>; 8] = [
         // First normalize `Binary(Mul)`+`Binary(Add)` accumulate pairs into
         // `Macs` so streams lowered with `enable_fmac_fusion=false` feed the
         // same chain fusion as fmacs-lowered ones.
@@ -1029,9 +1004,7 @@ fn optimize_program(
         ("elide-staging", &elide_staging),
         ("flatten-chunks", &flatten_chunks),
         ("merge-single-chunk-blocks", &merge_single_chunk_blocks),
-        ("fold-copies", &fold_copies),
-        ("fold-binary-copies", &fold_binary_copies),
-        ("elide-dead-internal-writes", &elide_dead_internal_writes),
+        ("fold-dead-writes", &fold_dead_writes),
         ("defer-commits", &defer_commits),
         ("coalesce-arena", &coalesce_arena),
     ];
@@ -1120,16 +1093,16 @@ impl Site<'_> {
 
 /// Runs one peephole `rule` over every instruction of every sweep block
 /// until it rewrites nothing.  A rule answers `Some((len, with))` to
-/// replace the `len` instructions starting at the site by `with`; each
-/// rewrite bumps the counter `fired` selects and restarts the scan over
-/// fresh events, because it moves every later position — and takes the
-/// skip tally back to where the pass found it, so only the scan that
-/// rewrites nothing (the fixed point) reports its skip reasons.
+/// replace the `len` instructions starting at the site by `with`, having
+/// counted the rewrite in its own [`OptStats`] counter; each rewrite
+/// restarts the scan over fresh events, because it moves every later
+/// position — and takes the skip tally back to where the pass found it, so
+/// only the scan that rewrites nothing (the fixed point) reports its skip
+/// reasons.
 fn rewrite_to_fixpoint(
     linked: &mut LinkedProgram,
     stats: &mut OptStats,
-    fired: fn(&mut OptStats) -> &mut usize,
-    rule: impl Fn(&Site<'_>, &mut SkipCounts) -> Option<(usize, Option<LinkedInstr>)>,
+    rule: impl Fn(&Site<'_>, &mut OptStats) -> Option<(usize, Option<LinkedInstr>)>,
 ) {
     let skipped_before = stats.skipped;
     'rescan: loop {
@@ -1150,10 +1123,9 @@ fn rewrite_to_fixpoint(
             let i = event.index;
             let site =
                 Site { instr: &block[i], next: block.get(i + 1), max_dyn, events: &events, pos };
-            if let Some((len, with)) = rule(&site, &mut stats.skipped) {
+            if let Some((len, with)) = rule(&site, stats) {
                 block.splice(i..i + len, with);
                 stats.skipped = skipped_before;
-                *fired(stats) += 1;
                 continue 'rescan;
             }
         }
@@ -1207,7 +1179,7 @@ fn fuse_mul_add_pairs(linked: &mut LinkedProgram, stats: &mut OptStats) {
             }
         }
     }
-    let rule = |site: &Site<'_>, skipped: &mut SkipCounts| {
+    let rule = |site: &Site<'_>, stats: &mut OptStats| {
         let LinkedInstr::Binary { kind: BinKind::Mul, dest: t, a, b } = site.instr else {
             return None;
         };
@@ -1226,31 +1198,40 @@ fn fuse_mul_add_pairs(linked: &mut LinkedProgram, stats: &mut OptStats) {
             _ => {
                 // Both operands read written (data) buffers: a decomposed
                 // product term, fenced out.
-                skipped.product_fence += 1;
+                stats.skipped.product_fence += 1;
                 return None;
             }
         };
         let disjoint = |p: &LinkedView, q: &LinkedView| views_disjoint(p, q, site.max_dyn);
         if !disjoint(&src, d) || !disjoint(t, d) || !disjoint(t, &src) {
-            skipped.aliasing += 1;
+            stats.skipped.aliasing += 1;
             return None;
         }
         if !site.dead_after_next(t) {
-            skipped.multi_result += 1;
+            stats.skipped.multi_result += 1;
             return None;
         }
+        stats.binary_macs_fused += 1;
         Some((2, Some(LinkedInstr::Macs { dest: *d, acc: *d, src, coeff })))
     };
-    rewrite_to_fixpoint(linked, stats, |s| &mut s.binary_macs_fused, rule);
+    rewrite_to_fixpoint(linked, stats, rule);
 }
 
-/// Removes writes to internal double-buffer fields that the cyclic
-/// liveness scan proves dead — typically the producer's renamed store
-/// when every consumer was substituted away during inlining, so nothing
-/// ever reads the buffered generation.  Internal fields are excluded from
-/// the always-live set (see [`LinkedProgram::field_internal`]); writes to
-/// observable fields are never touched.
-fn elide_dead_internal_writes(linked: &mut LinkedProgram, stats: &mut OptStats) {
+/// Drops writes the cyclic liveness scan ([`deps::dead_after`]) proves
+/// dead, in two shapes:
+///
+/// * a fused sweep or an unfused `Binary` whose result `t` is immediately
+///   copied out (`…; out = t`) is retargeted at `out` and the `Copy`
+///   disappears (see [`folds_into_copy`]) — the accumulator write-back of
+///   a sweep, and of a product kernel (`acc = a · b; out = acc`).  Per
+///   element the retargeted instruction performs the identical operation,
+///   so results are bitwise unchanged;
+/// * a write to an internal double-buffer field that nothing reads is
+///   removed — typically the producer's renamed store when every consumer
+///   was substituted away during inlining.  Internal fields are excluded
+///   from the always-live set (see [`LinkedProgram::field_internal`]);
+///   writes to observable fields are never touched.
+fn fold_dead_writes(linked: &mut LinkedProgram, stats: &mut OptStats) {
     let internal: Vec<BufferId> = linked
         .field_ids
         .iter()
@@ -1258,17 +1239,28 @@ fn elide_dead_internal_writes(linked: &mut LinkedProgram, stats: &mut OptStats) 
         .filter(|&(_, &internal)| internal)
         .map(|(&id, _)| id)
         .collect();
-    if internal.is_empty() {
-        return;
-    }
     let layouts = linked.layouts.clone();
-    let rule = |site: &Site<'_>, _: &mut SkipCounts| {
+    let rule = |site: &Site<'_>, stats: &mut OptStats| {
+        let folded = match site.instr {
+            LinkedInstr::FusedMacs { .. } => Some(&mut stats.copies_folded),
+            LinkedInstr::Binary { .. } => Some(&mut stats.binary_copies_folded),
+            _ => None,
+        };
+        if let Some(folded) = folded {
+            if let Some(out) = folds_into_copy(site, &mut stats.skipped) {
+                *folded += 1;
+                let mut retargeted = site.instr.clone();
+                *instr_views_mut(&mut retargeted)[0] = out;
+                return Some((2, Some(retargeted)));
+            }
+        }
         let dest = site.instr.dest();
         let dead = internal.contains(&buffer_at(&layouts, dest.base))
             && deps::dead_after(site.events, site.pos, dest.span(site.max_dyn));
+        stats.dead_writes_elided += usize::from(dead);
         dead.then_some((1, None))
     };
-    rewrite_to_fixpoint(linked, stats, |s| &mut s.dead_writes_elided, rule);
+    rewrite_to_fixpoint(linked, stats, rule);
 }
 
 /// Collapses a multi-chunk exchange into a single full-column chunk when
@@ -1601,7 +1593,7 @@ fn fuse_block(
     out
 }
 
-/// The condition the two copy folds share: the instruction at the site
+/// When a write folds into the copy after it: the instruction at the site
 /// writes `t`, `next` copies `t` to `out`, nothing the instruction touches
 /// — its sources, an accumulator init, `t` itself — overlaps `out` (slot
 /// sources read the snapshot and cannot alias an arena view), and the
@@ -1622,32 +1614,6 @@ fn folds_into_copy(site: &Site<'_>, skipped: &mut SkipCounts) -> Option<LinkedVi
         return None;
     }
     Some(*out)
-}
-
-/// Folds `Copy { dest: out, src: acc }` instructions into the immediately
-/// preceding fused sweep over `acc`, retargeting the sweep at `out` (see
-/// [`folds_into_copy`] and the module docs).
-fn fold_copies(linked: &mut LinkedProgram, stats: &mut OptStats) {
-    let rule = |site: &Site<'_>, skipped: &mut SkipCounts| {
-        let LinkedInstr::FusedMacs { init, terms, .. } = site.instr else { return None };
-        let dest = folds_into_copy(site, skipped)?;
-        Some((2, Some(LinkedInstr::FusedMacs { dest, init: *init, terms: terms.clone() })))
-    };
-    rewrite_to_fixpoint(linked, stats, |s| &mut s.copies_folded, rule);
-}
-
-/// Folds `Binary { dest: t, .. }` + `Copy { dest: out, src: t }` pairs by
-/// retargeting the binary at `out` (see [`folds_into_copy`]).  This is the
-/// write-back shape of a product kernel (`acc = a · b; out = acc`); per
-/// element the retargeted instruction performs the identical operation, so
-/// results are bitwise unchanged.
-fn fold_binary_copies(linked: &mut LinkedProgram, stats: &mut OptStats) {
-    let rule = |site: &Site<'_>, skipped: &mut SkipCounts| {
-        let LinkedInstr::Binary { kind, a, b, .. } = site.instr else { return None };
-        let dest = folds_into_copy(site, skipped)?;
-        Some((2, Some(LinkedInstr::Binary { kind: *kind, dest, a: *a, b: *b })))
-    };
-    rewrite_to_fixpoint(linked, stats, |s| &mut s.binary_copies_folded, rule);
 }
 
 /// Every arena view of an instruction, mutably, destination first: the
@@ -2267,7 +2233,7 @@ mod tests {
         .unwrap();
         assert_eq!(linked.stats.skipped.window_barrier, 1, "stats: {:?}", linked.stats.skipped);
         assert_eq!(linked.stats.validator_rejections, 0, "stats: {:?}", linked.stats);
-        assert!(linked.stats.validated_passes >= 10, "stats: {:?}", linked.stats);
+        assert_eq!(linked.stats.validated_passes, 8, "stats: {:?}", linked.stats);
     }
 
     #[test]
@@ -2365,7 +2331,7 @@ mod tests {
     /// The one thing composition-first reports differently: the mutated
     /// fusion turns `t += c · t[-1]` into an in-place sweep that reads its
     /// own writes — wrong at that unit's boundary, and blamed there by the
-    /// per-unit loop — but `fold-copies` then retargets the sweep at `a`,
+    /// per-unit loop — but `fold-dead-writes` then retargets the sweep at `a`,
     /// off its source, and the *emitted* stream computes the original
     /// values again.  `E201` guarantees the emitted stream, so the
     /// composition is accepted whole; the engine agrees bit for bit.
@@ -2399,7 +2365,7 @@ mod tests {
         let composed = link_program_with(&program, &mutant).unwrap();
         assert!(composed.stats.rejected_passes.is_empty(), "{:?}", composed.stats);
         assert_eq!(composed.stats.copies_folded, 1, "{:?}", composed.stats);
-        assert_eq!(composed.stats.validated_passes, 10, "{:?}", composed.stats);
+        assert_eq!(composed.stats.validated_passes, 8, "{:?}", composed.stats);
         for emitted in [&per_unit, &composed] {
             assert!(crate::validate::streams_equivalent(&reference, emitted));
         }

@@ -29,15 +29,14 @@
 //!   set the host supports ([`Isa::detect`]), or the scalar set when
 //!   [`LinkedProgram::simd`] is off ([`crate::link::LinkOptions::simd`]).
 //!   Either way the bits are identical; [`PlanCounts`] reports which path
-//!   every op took so conformance and benches can force and observe each.
+//!   every op took so conformance and `wse-perf` can force and observe each.
 
 use crate::deps::views_disjoint;
 use crate::kernels::{kernel_set, Isa, KernelSet, MacsFn, MapFn, SweepRowFn, MAX_ARITY};
 use crate::link::{FusedInit, FusedTerm, LinkedInstr, LinkedKernel, LinkedProgram, LinkedView};
 use crate::loader::BinKind;
 
-/// Observability counters of one planning run (copied into
-/// [`crate::link::OptStats`] at link time).
+/// Observability counters of one planning run ([`ProgramPlan::counts`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCounts {
     /// Arithmetic ops bound to vector (AVX2) kernels.

@@ -1,7 +1,7 @@
 //! The translation validator's two shortcuts against the check they
 //! replace.  `observable_summary` runs on a witness grid sized by the
 //! program's reach instead of on `width × height` PEs, and the validated
-//! link checks the composition of all ten pass units before any single
+//! link checks the composition of all eight pass units before any single
 //! one; both must leave every verdict — rejections, blame, the reverted
 //! stream, stream equality — exactly what the full-grid, unit-by-unit
 //! check reports ([`check_validator_shortcuts`]).  The sweeps below run
@@ -116,7 +116,7 @@ fn validated_link_work_is_independent_of_grid_area() {
     assert_eq!(abstract_pes(&on_grid(&loaded, 256, 256)), 49);
     let validated = LinkOptions { optimize: true, validate: true, ..LinkOptions::default() };
     let linked = link_program_with(&on_grid(&loaded, 256, 256), &validated).expect("links");
-    assert_eq!((linked.stats.validated_passes, linked.stats.validator_rejections), (10, 0));
+    assert_eq!((linked.stats.validated_passes, linked.stats.validator_rejections), (8, 0));
 }
 
 // ---------------------------------------------------------------------------
