@@ -1,6 +1,6 @@
 //! Regeneration of every table and figure in the paper's evaluation
 //! (Section 6).  Each function returns structured rows; the `reproduce`
-//! binary and the Criterion benches print them.
+//! binary prints them.
 
 use wse_frontends::benchmarks::{Benchmark, ProblemSize};
 use wse_lowering::WseTarget;
