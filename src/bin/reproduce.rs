@@ -1,6 +1,6 @@
 //! Prints every table and figure of the paper's evaluation.
 //!
-//! Usage: `cargo run -p wse-bench --bin reproduce [-- fig4|fig5|fig6|fig7|table1|tflops|ablations|all]`
+//! Usage: `cargo run --release --bin reproduce [-- fig4|fig5|fig6|fig7|table1|tflops|ablations|all]`
 
 use wse_stencil::experiments as exp;
 
@@ -181,7 +181,7 @@ fn main() {
         "table1" => print_table1(),
         "tflops" => print_tflops(),
         "ablations" => print_ablations(),
-        _ => {
+        "all" => {
             print_fig4();
             print_fig5();
             print_fig6();
@@ -189,6 +189,10 @@ fn main() {
             print_table1();
             print_tflops();
             print_ablations();
+        }
+        _ => {
+            eprintln!("usage: reproduce [fig4|fig5|fig6|fig7|table1|tflops|ablations|all]");
+            std::process::exit(2);
         }
     }
 }
