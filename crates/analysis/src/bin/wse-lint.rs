@@ -22,7 +22,7 @@ use wse_ir::diagnostics::{render_explanation, REGISTRY};
 use wse_sim::LinkOptions;
 use wse_stencil::benchmarks::Benchmark;
 use wse_stencil::fortran::parse_fortran;
-use wse_stencil::{Compiler, StencilProgram};
+use wse_stencil::{CompileError, Compiler, StencilProgram};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -32,6 +32,13 @@ fn usage() -> ExitCode {
          for races.  Codes are stable; `--explain <code>` documents one."
     );
     ExitCode::from(2)
+}
+
+/// The report line of a failed compile.  A pass failure need not carry
+/// a code, and then none is printed.
+fn compile_failure(e: &CompileError) -> String {
+    let head = e.code().map_or_else(|| "error".to_string(), |code| format!("error[{code}]"));
+    format!("{head}: compile failed in {}: {}", e.stage(), e.message())
 }
 
 /// Lints one program end to end; returns whether an error was found.
@@ -79,12 +86,7 @@ fn check_program(label: &str, program: &StencilProgram) -> bool {
                 }
             },
             Err(e) => {
-                println!(
-                    "{label}: error[{}] compile failed in {}: {}",
-                    e.code().unwrap_or("internal-panic"),
-                    e.stage(),
-                    e.message()
-                );
+                println!("{label}: {}", compile_failure(&e));
                 return true;
             }
         }
@@ -173,5 +175,18 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_uncoded_compile_failure_prints_no_code() {
+        let e = CompileError::pass("p", "m", None);
+        assert_eq!(compile_failure(&e), "error: compile failed in p: m");
+        let e = CompileError::pass("p", "m", Some("non-linear".to_string()));
+        assert_eq!(compile_failure(&e), "error[non-linear]: compile failed in p: m");
     }
 }

@@ -28,7 +28,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod dag;
-pub mod ir;
 pub mod lint;
 pub mod race;
 
@@ -104,11 +103,5 @@ impl Analyzer {
     /// the same stream, so one graph describes the whole grid).
     pub fn dependence_graph(&self, linked: &LinkedProgram) -> DepGraph {
         DepGraph::build(linked)
-    }
-
-    /// Summarizes a stencil IR module through the dialect effect table
-    /// and SSA def-use chains.
-    pub fn ir_summary(&self, ctx: &wse_ir::Context, root: wse_ir::OpId) -> ir::IrSummary {
-        ir::summarize(ctx, root)
     }
 }

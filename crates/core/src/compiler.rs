@@ -37,16 +37,6 @@ pub enum CompileErrorKind {
         /// Which option was invalid (e.g. `"num_chunks"`).
         option: &'static str,
     },
-    /// The pipeline panicked mid-compile; the panic was isolated by the
-    /// service (`catch_unwind`) and the context it poisoned was
-    /// discarded, not repooled.  Treated as transient by the service's
-    /// retry loop.
-    Internal,
-    /// The per-compile deadline expired before the pipeline finished.
-    /// The compile keeps running on a detached worker (its context is
-    /// repooled and the cache populated on late completion), so retries
-    /// can hit.  Treated as transient by the retry loop.
-    DeadlineExceeded,
 }
 
 impl CompileErrorKind {
@@ -59,8 +49,6 @@ impl CompileErrorKind {
             CompileErrorKind::Load => "load",
             CompileErrorKind::Simulate => "simulate",
             CompileErrorKind::InvalidOptions { .. } => "options",
-            CompileErrorKind::Internal => "internal",
-            CompileErrorKind::DeadlineExceeded => "deadline",
         }
     }
 
@@ -73,8 +61,6 @@ impl CompileErrorKind {
             CompileErrorKind::Load => Some("load-failed"),
             CompileErrorKind::Simulate => Some("simulate-failed"),
             CompileErrorKind::InvalidOptions { .. } => Some("invalid-options"),
-            CompileErrorKind::Internal => Some("internal-panic"),
-            CompileErrorKind::DeadlineExceeded => Some("deadline-exceeded"),
         }
     }
 }
@@ -113,17 +99,6 @@ impl CompileError {
     /// An out-of-range builder option.
     pub fn invalid_options(option: &'static str, message: impl Into<String>) -> Self {
         Self { kind: CompileErrorKind::InvalidOptions { option }, message: message.into() }
-    }
-
-    /// An isolated mid-compile panic (see [`CompileErrorKind::Internal`]).
-    pub fn internal(message: impl Into<String>) -> Self {
-        Self { kind: CompileErrorKind::Internal, message: message.into() }
-    }
-
-    /// An expired per-compile deadline (see
-    /// [`CompileErrorKind::DeadlineExceeded`]).
-    pub fn deadline(message: impl Into<String>) -> Self {
-        Self { kind: CompileErrorKind::DeadlineExceeded, message: message.into() }
     }
 
     /// The typed discriminant.

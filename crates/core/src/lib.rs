@@ -30,7 +30,7 @@ pub mod service;
 
 pub use artifact::{CslArtifact, LocReport};
 pub use compiler::{CompileError, CompileErrorKind, Compiler};
-pub use service::{CompileResult, CompileService, ServiceStats, INJECTED_COMPILE_PANIC};
+pub use service::{CompileService, ServiceStats};
 
 // Re-export the crates a downstream user needs to drive the API.
 pub use wse_frontends::{ast, benchmarks, devito, fortran, psyclone, StencilProgram};

@@ -1,56 +1,25 @@
-//! Compile-as-a-service: batched compilation over pooled IR contexts
-//! with an artifact cache keyed by a stable structural IR hash.
+//! A memoizing front door over [`Compiler::compile`]'s pipeline: pooled
+//! IR contexts and an artifact cache keyed by a stable structural IR hash.
 //!
-//! The ROADMAP's north star is serving compilation to many users; the
-//! [`CompileService`] is the throughput-oriented entry point behind the
-//! [`Compiler`] builder:
+//! The paper's pipeline compiles each program once, so no figure needs
+//! this.  It stays because the benchmark times it (`service_per_s` and
+//! the `core.service_*` rows), and it holds only what those rows measure:
 //!
 //! * **Context pool** — every compile emits into a long-lived, reset
 //!   [`IrContext`] instead of a fresh arena.  Interned types/attributes
 //!   survive [`IrContext::reset`], so steady-state compiles never
 //!   re-allocate type structure (see the `wse_ir::ir` docs for the
-//!   handle-invalidation rules: op/value handles die at reset,
-//!   `TypeRef`/`AttrRef` handles live as long as the context).
+//!   handle-invalidation rules).
 //! * **Artifact cache** — after front-end emission the module is
 //!   fingerprinted structurally ([`IrContext::fingerprint`], independent
 //!   of arena indices) and combined with the pipeline options; a hit
 //!   returns the shared [`CslArtifact`] without running a single pass.
-//! * **Batching** — [`CompileService::compile_batch`] fans a slice of
-//!   programs out over a small worker pool (scoped threads; each worker
-//!   takes its own pooled context).
 //!
-//! # Failure hardening
-//!
-//! A long-lived service must survive misbehaving compiles, so every
-//! pipeline run is wrapped in an isolation boundary:
-//!
-//! * **Panic isolation** — a panic anywhere in emission/lowering/loading
-//!   is caught (`catch_unwind`) and surfaced as a typed
-//!   [`CompileErrorKind::Internal`] error.  The context the panicking
-//!   compile was using is *discarded*, never repooled: a half-built
-//!   arena must not leak into the next request.
-//! * **Lock-poison recovery** — a panic while a shared mutex is held
-//!   poisons it; the service recovers instead of propagating the poison.
-//!   The context pool is cleared on recovery (a context caught mid-reset
-//!   is suspect), while the artifact cache keeps its entries (`Arc`
-//!   values are inserted whole, so a poisoned cache holds only complete
-//!   artifacts).
-//! * **Deadlines** — [`CompileService::deadline`] bounds each attempt.
-//!   An over-deadline compile keeps running on a detached worker and
-//!   still repools its context and fills the cache when it eventually
-//!   finishes; the caller gets a typed
-//!   [`CompileErrorKind::DeadlineExceeded`] error immediately.
-//! * **Bounded retry** — [`CompileService::retry`] re-runs attempts that
-//!   failed *transiently* (isolated panic or expired deadline) with
-//!   exponential backoff.  Deterministic rejections (validation, pass
-//!   failures) are never retried.
-//!
-//! Every recovery action is counted in [`ServiceStats`] so tests and
-//! operators can assert the paths actually fired.
-//!
-//! Artifacts are handed out as `Arc<CslArtifact>`: they own their
-//! sources and loaded program but not the IR they were lowered in, so
-//! the pooled context is immediately reusable.
+//! Both are transparent: a served artifact has the same sources as a
+//! [`Compiler::compile`] of the same program (the conformance bin's
+//! `--service` sweep checks this on generated programs).  A compile that
+//! panics unwinds to the caller exactly as [`Compiler::compile`] does; its
+//! context is a local of that compile, so it is dropped, never repooled.
 //!
 //! ```
 //! use wse_stencil::{benchmarks::Benchmark, Compiler};
@@ -66,10 +35,8 @@
 //! # }
 //! ```
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use wse_frontends::{emit_stencil_ir_into, StencilProgram};
 use wse_ir::fxhash::fx_hash_one;
@@ -78,15 +45,7 @@ use wse_lowering::lower_module_in;
 use wse_sim::load_program;
 
 use crate::artifact::CslArtifact;
-use crate::compiler::{CompileError, CompileErrorKind, Compiler};
-
-/// The result of one service compile: a shared artifact or a typed error.
-pub type CompileResult = Result<Arc<CslArtifact>, CompileError>;
-
-/// Panic message used by the service's chaos hooks
-/// ([`CompileService::inject_panics`]).  Test panic hooks match on this
-/// to keep deliberate fault-injection panics out of the test log.
-pub const INJECTED_COMPILE_PANIC: &str = "injected compile fault";
+use crate::compiler::{CompileError, Compiler};
 
 /// Counters describing what the service has done so far.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -99,117 +58,22 @@ pub struct ServiceStats {
     pub cached_artifacts: usize,
     /// Idle contexts currently in the pool.
     pub pooled_contexts: usize,
-    /// Mid-compile panics caught and converted into typed
-    /// [`CompileErrorKind::Internal`] errors.
-    pub panics_isolated: u64,
-    /// Compile attempts whose per-attempt deadline expired.
-    pub deadlines_expired: u64,
-    /// Transient failures that were retried (one per extra attempt).
+    /// Always 0: the service does not retry.  Frozen `wse-perf` reads it
+    /// for its `core.service_retries` row.
     pub retries_spent: u64,
-    /// Contexts discarded instead of repooled (poisoned by a panic, or
-    /// swept out of the pool when a poisoned pool lock was recovered).
-    pub contexts_discarded: u64,
-    /// Poisoned mutexes the service recovered from.
-    pub poisoned_locks_recovered: u64,
 }
 
-/// State shared between the service handle and detached deadline
-/// workers.  All lock acquisition goes through the poison-recovering
-/// helpers below — a panicking compile must never wedge the service.
-#[derive(Default)]
-struct ServiceShared {
-    pool: Mutex<Vec<IrContext>>,
-    cache: Mutex<FxHashMap<u64, Arc<CslArtifact>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    panics_isolated: AtomicU64,
-    deadlines_expired: AtomicU64,
-    retries_spent: AtomicU64,
-    contexts_discarded: AtomicU64,
-    poisoned_locks_recovered: AtomicU64,
-    pool_poison_handled: AtomicBool,
-    cache_poison_handled: AtomicBool,
-    chaos_panics: AtomicU32,
-    chaos_stall: Mutex<Option<Duration>>,
-}
-
-impl ServiceShared {
-    /// Locks the context pool, recovering from poison.  The first time a
-    /// poisoned pool is observed, every pooled context is discarded: the
-    /// panic that poisoned the lock may have interrupted a reset, and a
-    /// half-reset arena must not serve the next request.
-    fn lock_pool(&self) -> MutexGuard<'_, Vec<IrContext>> {
-        match self.pool.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => {
-                let mut guard = poisoned.into_inner();
-                if !self.pool_poison_handled.swap(true, Ordering::Relaxed) {
-                    self.poisoned_locks_recovered.fetch_add(1, Ordering::Relaxed);
-                    self.contexts_discarded.fetch_add(guard.len() as u64, Ordering::Relaxed);
-                    guard.clear();
-                }
-                guard
-            }
-        }
-    }
-
-    /// Locks the artifact cache, recovering from poison.  Entries are
-    /// kept: `Arc<CslArtifact>` values are inserted whole, so whatever
-    /// the map holds is complete.
-    fn lock_cache(&self) -> MutexGuard<'_, FxHashMap<u64, Arc<CslArtifact>>> {
-        match self.cache.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => {
-                if !self.cache_poison_handled.swap(true, Ordering::Relaxed) {
-                    self.poisoned_locks_recovered.fetch_add(1, Ordering::Relaxed);
-                }
-                poisoned.into_inner()
-            }
-        }
-    }
-
-    fn take_context(&self) -> IrContext {
-        self.lock_pool().pop().unwrap_or_default()
-    }
-
-    fn return_context(&self, mut ctx: IrContext) {
-        ctx.reset();
-        self.lock_pool().push(ctx);
-    }
-
-    /// The chaos hook, called inside the isolation boundary so injected
-    /// faults exercise exactly the paths real faults would take.
-    fn chaos(&self) {
-        let stall = self.chaos_stall.lock().unwrap_or_else(|e| e.into_inner()).take();
-        if let Some(duration) = stall {
-            std::thread::sleep(duration);
-        }
-        let fire = self
-            .chaos_panics
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-            .is_ok();
-        if fire {
-            panic!("{INJECTED_COMPILE_PANIC}");
-        }
-    }
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(message) = payload.downcast_ref::<&str>() {
-        (*message).to_string()
-    } else if let Some(message) = payload.downcast_ref::<String>() {
-        message.clone()
-    } else {
-        "panic payload of unknown type".to_string()
-    }
+/// Locks `mutex`, taking over a poisoned one as it stands: the pool only
+/// ever holds reset contexts and the cache only whole artifacts.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A long-lived compile service wrapping a [`Compiler`] configuration.
 ///
-/// Construct one with [`Compiler::service`].  The service is `Sync`:
-/// `compile` takes `&self` and may be called from many threads; internal
-/// state (context pool, artifact cache) is mutex-protected, and every
-/// lock acquisition recovers from poisoning (see the module docs).
+/// Construct one with [`Compiler::service`].  `compile` takes `&self`;
+/// the context pool and the artifact cache are mutex-protected, and
+/// neither lock is held while a pipeline runs.
 ///
 /// # Ownership
 /// Returned artifacts are `Arc`-shared and self-contained — they do not
@@ -219,12 +83,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// finishes.
 pub struct CompileService {
     compiler: Compiler,
-    shared: Arc<ServiceShared>,
+    pool: Mutex<Vec<IrContext>>,
+    cache: Mutex<FxHashMap<u64, Arc<CslArtifact>>>,
     cache_enabled: bool,
-    workers: usize,
-    deadline: Option<Duration>,
-    retries: u32,
-    backoff: Duration,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl std::fmt::Debug for CompileService {
@@ -239,15 +102,13 @@ impl std::fmt::Debug for CompileService {
 impl CompileService {
     /// A service over `compiler`'s options (use [`Compiler::service`]).
     pub(crate) fn new(compiler: Compiler) -> Self {
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
         Self {
             compiler,
-            shared: Arc::new(ServiceShared::default()),
+            pool: Mutex::default(),
+            cache: Mutex::default(),
             cache_enabled: true,
-            workers,
-            deadline: None,
-            retries: 0,
-            backoff: Duration::ZERO,
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
         }
     }
 
@@ -258,46 +119,6 @@ impl CompileService {
         self
     }
 
-    /// Caps the number of worker threads used by
-    /// [`CompileService::compile_batch`].
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Bounds each compile attempt to `deadline`.  An attempt that runs
-    /// past it returns a typed [`CompileErrorKind::DeadlineExceeded`]
-    /// error while the compile finishes on a detached worker (late
-    /// completions still repool their context and fill the cache, so a
-    /// retry — or the next identical request — can hit).
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Retries transient failures (isolated panics, expired deadlines)
-    /// up to `retries` extra attempts, sleeping `backoff * 2^attempt`
-    /// between attempts.  Deterministic rejections are never retried.
-    pub fn retry(mut self, retries: u32, backoff: Duration) -> Self {
-        self.retries = retries;
-        self.backoff = backoff;
-        self
-    }
-
-    /// Chaos hook: makes the next `count` compile attempts panic inside
-    /// the isolation boundary.  Used to pin the panic-isolation and
-    /// retry paths in tests.
-    pub fn inject_panics(&self, count: u32) {
-        self.shared.chaos_panics.store(count, Ordering::Relaxed);
-    }
-
-    /// Chaos hook: stalls the next compile attempt for `duration` inside
-    /// the isolation boundary (one-shot).  Used to pin the deadline path
-    /// in tests.
-    pub fn inject_stall(&self, duration: Duration) {
-        *self.shared.chaos_stall.lock().unwrap_or_else(|e| e.into_inner()) = Some(duration);
-    }
-
     /// The compiler configuration this service was built from.
     pub fn compiler(&self) -> &Compiler {
         &self.compiler
@@ -305,244 +126,64 @@ impl CompileService {
 
     /// Current counters.
     pub fn stats(&self) -> ServiceStats {
-        let shared = &self.shared;
         ServiceStats {
-            cache_hits: shared.hits.load(Ordering::Relaxed),
-            cache_misses: shared.misses.load(Ordering::Relaxed),
-            cached_artifacts: shared.lock_cache().len(),
-            pooled_contexts: shared.lock_pool().len(),
-            panics_isolated: shared.panics_isolated.load(Ordering::Relaxed),
-            deadlines_expired: shared.deadlines_expired.load(Ordering::Relaxed),
-            retries_spent: shared.retries_spent.load(Ordering::Relaxed),
-            contexts_discarded: shared.contexts_discarded.load(Ordering::Relaxed),
-            poisoned_locks_recovered: shared.poisoned_locks_recovered.load(Ordering::Relaxed),
+            cache_hits: self.hits.load(Ordering::Relaxed),
+            cache_misses: self.misses.load(Ordering::Relaxed),
+            cached_artifacts: lock(&self.cache).len(),
+            pooled_contexts: lock(&self.pool).len(),
+            retries_spent: 0,
         }
-    }
-
-    /// Drops every cached artifact (pooled contexts are kept).
-    pub fn clear_cache(&self) {
-        self.shared.lock_cache().clear();
     }
 
     /// Compiles one program, serving repeats from the artifact cache.
     ///
     /// # Errors
     /// Same contract as [`Compiler::compile`], with errors typed by
-    /// [`crate::CompileErrorKind`].  With a [`deadline`] configured,
-    /// over-deadline attempts fail with
-    /// [`CompileErrorKind::DeadlineExceeded`]; mid-pipeline panics are
-    /// isolated as [`CompileErrorKind::Internal`].  Both are retried when
-    /// [`retry`] is configured.
-    ///
-    /// [`deadline`]: CompileService::deadline
-    /// [`retry`]: CompileService::retry
+    /// [`crate::CompileErrorKind`].
     pub fn compile(&self, program: &StencilProgram) -> Result<Arc<CslArtifact>, CompileError> {
         self.compiler.validate_options()?;
-        let mut attempt: u32 = 0;
-        loop {
-            let result = self.compile_attempt(program);
-            let transient = matches!(
-                &result,
-                Err(e) if matches!(
-                    e.kind(),
-                    CompileErrorKind::Internal | CompileErrorKind::DeadlineExceeded
-                )
-            );
-            if !transient || attempt >= self.retries {
-                return result;
-            }
-            self.shared.retries_spent.fetch_add(1, Ordering::Relaxed);
-            if self.backoff > Duration::ZERO {
-                let shift = attempt.min(16);
-                std::thread::sleep(self.backoff.saturating_mul(1 << shift));
-            }
-            attempt += 1;
-        }
+        // A panic below unwinds past the repool with `ctx` as a local, so
+        // a half-built arena is dropped rather than served again.
+        let mut ctx = lock(&self.pool).pop().unwrap_or_default();
+        let result = self.compile_in(&mut ctx, program);
+        ctx.reset();
+        lock(&self.pool).push(ctx);
+        result
     }
 
-    fn compile_attempt(&self, program: &StencilProgram) -> CompileResult {
-        match self.deadline {
-            None => compile_on(&self.shared, &self.compiler, self.cache_enabled, program),
-            Some(deadline) => self.compile_with_deadline(program, deadline),
-        }
-    }
-
-    /// Runs one attempt on a detached worker and waits at most
-    /// `deadline` for it.  On timeout the worker keeps running: when it
-    /// eventually finishes it repools its context and fills the cache,
-    /// so the work is not wasted — only this caller stops waiting.
-    fn compile_with_deadline(&self, program: &StencilProgram, deadline: Duration) -> CompileResult {
-        let (tx, rx) = mpsc::channel();
-        let shared = Arc::clone(&self.shared);
-        let compiler = self.compiler;
-        let cache_enabled = self.cache_enabled;
-        let program = program.clone();
-        let spawned =
-            std::thread::Builder::new().name("wse-compile-deadline".to_string()).spawn(move || {
-                let _ = tx.send(compile_on(&shared, &compiler, cache_enabled, &program));
-            });
-        if let Err(e) = spawned {
-            return Err(CompileError::internal(format!("failed to spawn compile worker: {e}")));
-        }
-        match rx.recv_timeout(deadline) {
-            Ok(result) => result,
-            Err(_) => {
-                self.shared.deadlines_expired.fetch_add(1, Ordering::Relaxed);
-                Err(CompileError::deadline(format!(
-                    "compile exceeded the {}ms deadline (still running detached)",
-                    deadline.as_millis()
-                )))
-            }
-        }
-    }
-
-    /// Compiles a batch of programs, fanning out over scoped worker
-    /// threads (each worker draws its own context from the pool).
-    /// Results are returned in input order.
-    pub fn compile_batch(&self, programs: &[StencilProgram]) -> Vec<CompileResult> {
-        let workers = self.workers.min(programs.len());
-        if workers <= 1 {
-            return programs.iter().map(|p| self.compile(p)).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<CompileResult>>> =
-            programs.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= programs.len() {
-                        break;
-                    }
-                    let result = self.compile(&programs[i]);
-                    *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner().unwrap_or_else(|e| e.into_inner()).unwrap_or_else(|| {
-                    Err(CompileError::internal("batch worker never filled its slot"))
-                })
-            })
-            .collect()
-    }
-}
-
-/// One isolated compile attempt.  A free function (not a method) so the
-/// deadline path can run it on a detached `'static` worker holding only
-/// an `Arc` of the shared state.
-///
-/// The pooled context is moved *into* the `catch_unwind` closure: on an
-/// unwind it is dropped with the closure's locals, which is exactly the
-/// discard-don't-repool policy the module docs describe.
-fn compile_on(
-    shared: &ServiceShared,
-    compiler: &Compiler,
-    cache_enabled: bool,
-    program: &StencilProgram,
-) -> CompileResult {
-    let options = *compiler.options();
-    let ctx = shared.take_context();
-    let outcome = catch_unwind(AssertUnwindSafe(move || {
-        let mut ctx = ctx;
-        shared.chaos();
-
-        let emitted = emit_stencil_ir_into(&mut ctx, program);
-        let module = match emitted {
-            Ok((module, _func)) => module,
-            Err(message) => {
-                shared.return_context(ctx);
-                return Err(CompileError::emit(message));
-            }
-        };
-
+    fn compile_in(
+        &self,
+        ctx: &mut IrContext,
+        program: &StencilProgram,
+    ) -> Result<Arc<CslArtifact>, CompileError> {
+        let options = *self.compiler.options();
+        let (module, _func) = emit_stencil_ir_into(ctx, program).map_err(CompileError::emit)?;
         // Key the cache by structure, not by identity: the fingerprint is
         // a pre-order walk with local value numbering, so it is stable
         // across pool reuse and arena index churn.
         let key = fx_hash_one(&(ctx.fingerprint(module), options));
-        if cache_enabled {
-            if let Some(artifact) = shared.lock_cache().get(&key) {
-                shared.hits.fetch_add(1, Ordering::Relaxed);
-                let artifact = Arc::clone(artifact);
-                shared.return_context(ctx);
-                return Ok(artifact);
+        if self.cache_enabled {
+            if let Some(artifact) = lock(&self.cache).get(&key) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(Arc::clone(artifact));
             }
         }
-
-        let lowered = lower_module_in(&mut ctx, module, program, &options);
-        let (sources, pass_names) = match lowered {
-            Ok(parts) => parts,
-            Err(e) => {
-                shared.return_context(ctx);
-                return Err(e.into());
-            }
-        };
-        let loaded = match load_program(&ctx, module) {
-            Ok(loaded) => loaded,
-            Err(e) => {
-                shared.return_context(ctx);
-                return Err(CompileError::load(e.message));
-            }
-        };
-        shared.return_context(ctx);
-        shared.misses.fetch_add(1, Ordering::Relaxed);
-
-        let artifact = Arc::new(CslArtifact::from_parts(
-            program.clone(),
-            options,
-            sources,
-            pass_names,
-            loaded,
-        ));
-        if cache_enabled {
-            shared.lock_cache().insert(key, Arc::clone(&artifact));
+        let (sources, pass_names) = lower_module_in(ctx, module, program, &options)?;
+        let loaded = load_program(ctx, module).map_err(|e| CompileError::load(e.message))?;
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let parts = CslArtifact::from_parts(program.clone(), options, sources, pass_names, loaded);
+        let artifact = Arc::new(parts);
+        if self.cache_enabled {
+            lock(&self.cache).insert(key, Arc::clone(&artifact));
         }
         Ok(artifact)
-    }));
-    match outcome {
-        Ok(result) => result,
-        Err(payload) => {
-            shared.panics_isolated.fetch_add(1, Ordering::Relaxed);
-            shared.contexts_discarded.fetch_add(1, Ordering::Relaxed);
-            Err(CompileError::internal(format!(
-                "compile pipeline panicked: {}",
-                panic_message(payload)
-            )))
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Once;
     use wse_frontends::benchmarks::Benchmark;
-
-    /// Silences the chaos-injected panics (they are deliberate) while
-    /// forwarding every other panic to the previously-installed hook.
-    fn quiet_injected_panics() {
-        static ONCE: Once = Once::new();
-        ONCE.call_once(|| {
-            let previous = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                let injected = info
-                    .payload()
-                    .downcast_ref::<&str>()
-                    .map(|s| s.contains(INJECTED_COMPILE_PANIC))
-                    .unwrap_or(false)
-                    || info
-                        .payload()
-                        .downcast_ref::<String>()
-                        .map(|s| s.contains(INJECTED_COMPILE_PANIC))
-                        .unwrap_or(false);
-                if !injected {
-                    previous(info);
-                }
-            }));
-        });
-    }
 
     #[test]
     fn repeated_compiles_share_one_artifact() {
@@ -592,21 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_returns_results_in_input_order() {
-        let service = Compiler::new().num_chunks(2).service().workers(4);
-        let programs: Vec<_> = [Benchmark::Jacobian, Benchmark::Diffusion, Benchmark::Seismic25]
-            .iter()
-            .map(|b| b.tiny_program())
-            .collect();
-        let results = service.compile_batch(&programs);
-        assert_eq!(results.len(), 3);
-        for (program, result) in programs.iter().zip(&results) {
-            let artifact = result.as_ref().expect("batch compile succeeds");
-            assert_eq!(&artifact.program().name, &program.name);
-        }
-    }
-
-    #[test]
     fn typed_errors_flow_through_the_service() {
         let service = Compiler::new().service();
         let mut program = Benchmark::Jacobian.tiny_program();
@@ -617,108 +243,5 @@ mod tests {
         assert_eq!(service.stats().pooled_contexts, 1);
         let err = Compiler::new().num_chunks(0).service().compile(&program).unwrap_err();
         assert_eq!(err.code(), Some("invalid-options"));
-    }
-
-    #[test]
-    fn panic_isolation_discards_the_context_and_keeps_serving() {
-        quiet_injected_panics();
-        let service = Compiler::new().service();
-        let program = Benchmark::Jacobian.tiny_program();
-        service.inject_panics(1);
-        let err = service.compile(&program).unwrap_err();
-        assert_eq!(err.code(), Some("internal-panic"));
-        assert_eq!(err.stage(), "internal");
-        assert!(err.message().contains(INJECTED_COMPILE_PANIC));
-        let stats = service.stats();
-        assert_eq!(stats.panics_isolated, 1);
-        assert_eq!(stats.contexts_discarded, 1);
-        assert_eq!(stats.pooled_contexts, 0, "the poisoned context is not repooled");
-        // The service is still healthy afterwards.
-        let artifact = service.compile(&program).unwrap();
-        assert_eq!(artifact.program().name, program.name);
-        assert_eq!(service.stats().pooled_contexts, 1);
-    }
-
-    #[test]
-    fn retry_recovers_from_transient_panics() {
-        quiet_injected_panics();
-        let service = Compiler::new().service().retry(2, Duration::ZERO);
-        let program = Benchmark::Diffusion.tiny_program();
-        service.inject_panics(2);
-        let artifact = service.compile(&program).expect("third attempt succeeds");
-        assert_eq!(artifact.program().name, program.name);
-        let stats = service.stats();
-        assert_eq!(stats.panics_isolated, 2);
-        assert_eq!(stats.retries_spent, 2);
-        // A deterministic rejection is not retried.
-        let mut bad = program.clone();
-        bad.timesteps = 0;
-        let before = service.stats().retries_spent;
-        let _ = service.compile(&bad).unwrap_err();
-        assert_eq!(service.stats().retries_spent, before);
-    }
-
-    #[test]
-    fn deadline_expiry_is_typed_and_the_detached_compile_completes() {
-        quiet_injected_panics();
-        let service = Compiler::new().service().deadline(Duration::from_millis(100));
-        let program = Benchmark::Jacobian.tiny_program();
-        service.inject_stall(Duration::from_millis(600));
-        let err = service.compile(&program).unwrap_err();
-        assert_eq!(err.code(), Some("deadline-exceeded"));
-        assert_eq!(err.stage(), "deadline");
-        assert!(service.stats().deadlines_expired >= 1);
-        // The detached worker finishes the compile: its context is
-        // repooled and the artifact lands in the cache, so the next
-        // request is a hit.  Poll with a generous bound.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while service.stats().cached_artifacts == 0 {
-            assert!(std::time::Instant::now() < deadline, "detached compile never completed");
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        let artifact = service.compile(&program).unwrap();
-        assert_eq!(artifact.program().name, program.name);
-        assert!(service.stats().cache_hits >= 1, "late completion filled the cache");
-    }
-
-    #[test]
-    fn deadline_plus_retry_recovers_from_a_one_shot_stall() {
-        quiet_injected_panics();
-        let service =
-            Compiler::new().service().deadline(Duration::from_millis(150)).retry(1, Duration::ZERO);
-        let program = Benchmark::Seismic25.tiny_program();
-        service.inject_stall(Duration::from_millis(800));
-        // First attempt stalls past the deadline; the retry runs without
-        // the (one-shot) stall and succeeds.
-        let artifact = service.compile(&program).expect("retry succeeds");
-        assert_eq!(artifact.program().name, program.name);
-        let stats = service.stats();
-        assert!(stats.deadlines_expired >= 1);
-        assert!(stats.retries_spent >= 1);
-    }
-
-    #[test]
-    fn poisoned_locks_are_recovered_not_propagated() {
-        quiet_injected_panics();
-        let service = Compiler::new().service();
-        let program = Benchmark::Jacobian.tiny_program();
-        // Poison both shared locks the way a real panic would: panic on
-        // another thread while holding the guard.
-        let shared = Arc::clone(&service.shared);
-        let _ = std::thread::spawn(move || {
-            let _pool = shared.pool.lock().unwrap();
-            let _cache = shared.cache.lock().unwrap();
-            panic!("{INJECTED_COMPILE_PANIC} (poisoning the service locks)");
-        })
-        .join();
-        assert!(service.shared.pool.is_poisoned());
-        assert!(service.shared.cache.is_poisoned());
-        // The service recovers and keeps compiling.
-        let artifact = service.compile(&program).expect("service survives poisoned locks");
-        assert_eq!(artifact.program().name, program.name);
-        let stats = service.stats();
-        assert_eq!(stats.poisoned_locks_recovered, 2, "pool and cache each counted once");
-        let again = service.compile(&program).unwrap();
-        assert!(Arc::ptr_eq(&artifact, &again), "the recovered cache still serves hits");
     }
 }

@@ -11,8 +11,9 @@
 //! callbacks (`receive_chunk_cb`, `done_exchange_cb`).
 //!
 //! The text returned by [`stencil_comms_library`] is the CSL source of this
-//! library as emitted alongside every generated kernel; the executable
-//! model used by the simulator lives in `wse-sim::comms`.
+//! library as emitted alongside every generated kernel.  The simulator
+//! does not run this text: `wse_sim::loader` reads the exchange off the
+//! `communicate` call and `wse_sim::exec` delivers the halo columns.
 
 /// Architectural knobs that the generated layout metaprogram specializes
 /// the library with at CSL compile time (`comptime`).

@@ -32,7 +32,6 @@
 pub mod arith;
 pub mod builtin;
 pub mod dmp;
-pub mod effects;
 pub mod func;
 pub mod linalg;
 pub mod memref;

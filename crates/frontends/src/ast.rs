@@ -244,12 +244,6 @@ impl StencilProgram {
         self.source.lines().filter(|l| !l.trim().is_empty()).count()
     }
 
-    /// Total floating point operations per timestep.
-    pub fn flops_per_timestep(&self) -> u64 {
-        self.equations.iter().map(|e| e.expr.flops() as i64 * self.grid.points()).sum::<i64>()
-            as u64
-    }
-
     /// Floating point operations per grid point per timestep.
     pub fn flops_per_point(&self) -> u64 {
         self.equations.iter().map(|e| e.expr.flops()).sum()

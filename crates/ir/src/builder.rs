@@ -112,29 +112,6 @@ impl<'ctx> OpBuilder<'ctx> {
         self.ctx
     }
 
-    /// Current insertion point.
-    pub fn insert_point(&self) -> Option<InsertPoint> {
-        self.ip
-    }
-
-    /// Repositions the builder to the end of `block`.
-    pub fn set_insertion_point_to_end(&mut self, block: BlockId) {
-        let index = self.ctx.block_ops(block).len();
-        self.ip = Some(InsertPoint { block, index });
-    }
-
-    /// Repositions the builder to the start of `block`.
-    pub fn set_insertion_point_to_start(&mut self, block: BlockId) {
-        self.ip = Some(InsertPoint { block, index: 0 });
-    }
-
-    /// Repositions the builder right before `op`.
-    pub fn set_insertion_point_before(&mut self, op: OpId) {
-        let block = self.ctx.parent_block(op).expect("op must be attached");
-        let index = self.ctx.op_index_in_block(op).expect("op must be in its block");
-        self.ip = Some(InsertPoint { block, index });
-    }
-
     /// Builds and inserts an operation according to `spec`.
     pub fn insert(&mut self, spec: OpSpec) -> OpId {
         let mut attrs = AttrMap::new();

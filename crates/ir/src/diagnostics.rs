@@ -156,7 +156,7 @@ pub const REGISTRY: &[DiagnosticInfo] = &[
                       aliasing write).  The offending pass is rejected and its rewrite \
                       reverted; the conformance driver surfaces the rejection.",
     },
-    // ---- Lowering / compile-service rejections (pre-existing codes).
+    // ---- Lowering rejections (pre-existing codes).
     DiagnosticInfo {
         code: "non-linear",
         severity: Severity::Error,
@@ -190,21 +190,6 @@ pub const REGISTRY: &[DiagnosticInfo] = &[
         summary: "stencil apply body is structurally invalid",
         explanation: "The apply region violates a structural invariant (wrong terminator, \
                       missing block argument, dangling access) and cannot be analyzed.",
-    },
-    DiagnosticInfo {
-        code: "internal-panic",
-        severity: Severity::Error,
-        summary: "a compiler pass panicked",
-        explanation: "The compile service caught a panic inside a pass and converted it to a \
-                      typed error instead of poisoning the process.  Always a bug; the \
-                      panic message names the pass.",
-    },
-    DiagnosticInfo {
-        code: "deadline-exceeded",
-        severity: Severity::Error,
-        summary: "compilation exceeded the service deadline",
-        explanation: "The compile service enforces a wall-clock deadline per request; this \
-                      request was cancelled when the deadline expired.",
     },
     // ---- Link-time validation classes (`link.rs` rejection families).
     DiagnosticInfo {
@@ -319,14 +304,7 @@ mod tests {
 
     #[test]
     fn legacy_compiler_codes_are_registered() {
-        for code in [
-            "non-linear",
-            "non-linear-degree",
-            "unsupported-op",
-            "malformed-body",
-            "internal-panic",
-            "deadline-exceeded",
-        ] {
+        for code in ["non-linear", "non-linear-degree", "unsupported-op", "malformed-body"] {
             assert!(lookup(code).is_some(), "legacy code {code:?} missing from the registry");
         }
     }

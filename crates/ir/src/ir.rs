@@ -276,11 +276,6 @@ impl Context {
         &self.attr_storage[r.0 as usize]
     }
 
-    /// Number of distinct interned attributes.
-    pub fn num_interned_attrs(&self) -> usize {
-        self.attr_storage.len()
-    }
-
     // ---------------------------------------------------------------- values
 
     pub(crate) fn new_value(&mut self, ty: Type, def: ValueDef) -> ValueId {
@@ -684,18 +679,6 @@ impl Context {
         }
     }
 
-    /// Replaces uses of `old` with `new` only inside ops nested under `root`
-    /// (including `root`).
-    pub fn replace_uses_within(&mut self, root: OpId, old: ValueId, new: ValueId) {
-        for op in self.walk(root) {
-            for operand in self.op_mut(op).operands.iter_mut() {
-                if *operand == old {
-                    *operand = new;
-                }
-            }
-        }
-    }
-
     // --------------------------------------------------------------- erasure
 
     /// Erases an operation and (recursively) everything nested inside it.
@@ -773,27 +756,6 @@ impl Context {
             }
         }
         new_op
-    }
-
-    /// Clones all operations of `src_block` into `dst_block` starting at
-    /// `index`, remapping values through `value_map`.  Returns the cloned
-    /// operations in order.
-    pub fn clone_block_ops_into(
-        &mut self,
-        src_block: BlockId,
-        dst_block: BlockId,
-        mut index: usize,
-        value_map: &mut HashMap<ValueId, ValueId>,
-    ) -> Vec<OpId> {
-        let ops = self.block(src_block).ops.clone();
-        let mut cloned = Vec::with_capacity(ops.len());
-        for op in ops {
-            let new_op = self.clone_op(op, value_map);
-            self.insert_op(dst_block, index, new_op);
-            index += 1;
-            cloned.push(new_op);
-        }
-        cloned
     }
 
     // -------------------------------------------------------------- movement

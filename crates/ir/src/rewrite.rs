@@ -6,7 +6,7 @@
 //! they changed anything.  The driver iterates to a fixed point (bounded to
 //! protect against non-converging pattern sets).
 
-use crate::builder::{OpBuilder, OpSpec};
+use crate::builder::OpBuilder;
 use crate::ir::{IrContext, IrError, IrResult, OpId, ValueId};
 
 /// A rewrite pattern anchored on operations with a specific name.
@@ -43,24 +43,9 @@ impl<'a> Rewriter<'a> {
         self.ctx
     }
 
-    /// Mutable access to the context.
-    pub fn ctx_mut(&mut self) -> &mut IrContext {
-        self.ctx
-    }
-
     /// Builder inserting immediately before `op`.
     pub fn builder_before(&mut self, op: OpId) -> OpBuilder<'_> {
         OpBuilder::before(self.ctx, op)
-    }
-
-    /// Builder inserting immediately after `op`.
-    pub fn builder_after(&mut self, op: OpId) -> OpBuilder<'_> {
-        OpBuilder::after(self.ctx, op)
-    }
-
-    /// Creates an op right before `root` from a spec.
-    pub fn insert_before(&mut self, root: OpId, spec: OpSpec) -> OpId {
-        self.builder_before(root).insert(spec)
     }
 
     /// Replaces all uses of `op`'s results with `values` and erases `op`.

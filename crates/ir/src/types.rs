@@ -86,11 +86,6 @@ impl DialectType {
     ) -> Self {
         Self { dialect: dialect.into(), name: name.into(), params }
     }
-
-    /// Fully qualified name, e.g. `stencil.temp`.
-    pub fn full_name(&self) -> String {
-        format!("{}.{}", self.dialect, self.name)
-    }
 }
 
 /// An IR type.
@@ -205,16 +200,6 @@ impl Type {
     /// Returns `true` for float types.
     pub fn is_float(&self) -> bool {
         matches!(self, Type::Float(_))
-    }
-
-    /// Returns `true` for integer types.
-    pub fn is_integer(&self) -> bool {
-        matches!(self, Type::Integer { .. })
-    }
-
-    /// Returns `true` for index types.
-    pub fn is_index(&self) -> bool {
-        matches!(self, Type::Index)
     }
 
     /// Returns `true` for tensor types.

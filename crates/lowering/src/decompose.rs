@@ -16,9 +16,7 @@ use std::collections::HashMap;
 
 use wse_dialects::dmp::{Exchange, Topology};
 use wse_dialects::{arith, dmp, stencil, tensor};
-use wse_ir::{
-    Attribute, FloatBits, IrContext, OpBuilder, OpId, Pass, PassError, PassResult, Type, ValueId,
-};
+use wse_ir::{Attribute, IrContext, OpBuilder, OpId, Pass, PassError, PassResult, Type, ValueId};
 
 use crate::analysis::{analyze_apply, Factor, LinearCombination, Term};
 use crate::opt_passes::{add_internal_field, emit_combination_body, enclosing_func};
@@ -543,11 +541,6 @@ fn regenerate_tensorized_body(
 /// Convenience: reads the cached combination attribute of an apply.
 pub fn apply_combinations(ctx: &IrContext, apply: OpId) -> Option<Vec<LinearCombination>> {
     ctx.attr(apply, COMBINATIONS_ATTR).and_then(combinations_from_attr)
-}
-
-/// Convenience accessor for a float attribute stored by these passes.
-pub fn float_bits(value: f32) -> FloatBits {
-    FloatBits::new(f64::from(value))
 }
 
 #[cfg(test)]

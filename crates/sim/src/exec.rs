@@ -34,8 +34,8 @@
 //!    runs), with staged receive windows copied in ahead of each chunk's
 //!    receive ops.  Small kernels run one band spanning the grid on the
 //!    calling thread; once a kernel's work exceeds
-//!    [`PARALLEL_WORK_THRESHOLD`] the bands go to a persistent
-//!    [`WorkerPool`] (created lazily, one dispatch and one acknowledgement
+//!    `PARALLEL_WORK_THRESHOLD` the bands go to a persistent
+//!    `WorkerPool` (created lazily, one dispatch and one acknowledgement
 //!    barrier per kernel).
 //! 4. **Edge commits** — see below.
 //!

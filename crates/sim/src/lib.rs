@@ -31,7 +31,7 @@
 //!   detect-and-rollback loop;
 //! * [`interp`] — the pre-refactor string-keyed interpreter, kept as the
 //!   baseline for the engine-parity tests;
-//! * [`reference`] — a sequential reference executor over dense 3-D grids;
+//! * [`reference`](mod@reference) — a sequential reference executor over dense 3-D grids;
 //! * [`perf`] — the analytic cycle model (DSD throughput, fabric hops,
 //!   task activation overheads, WSE2 self-transmit penalty);
 //! * [`roofline`] — the roofline model of Figure 7;

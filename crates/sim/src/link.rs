@@ -111,7 +111,7 @@ fn err(code: &'static str, message: impl Into<String>) -> ExecError {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkMutation {
     /// Drop the source/destination disjointness check in FMA-chain fusion
-    /// ([`fuse_block`]): aliasing chains then fuse into one-pass sweeps
+    /// (`fuse_block`): aliasing chains then fuse into one-pass sweeps
     /// that observe their own writes — a real miscompilation the
     /// validator must reject (diagnostic `E201`).
     DropAliasingCheck,
@@ -574,13 +574,6 @@ impl SkipCounts {
     /// Total rewrites declined across all reasons.
     pub fn total(&self) -> usize {
         self.aliasing + self.window_barrier + self.multi_result + self.product_fence
-    }
-}
-
-impl OptStats {
-    /// Per-PE arena bytes reclaimed by buffer coalescing.
-    pub fn arena_bytes_saved(&self) -> usize {
-        self.arena_bytes_before - self.arena_bytes_after
     }
 }
 

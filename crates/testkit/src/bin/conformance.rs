@@ -35,7 +35,7 @@ fn main() {
             // Compiles every case through a shared `CompileService`
             // (pooled IR contexts + artifact cache) instead of a fresh
             // per-case `Compiler`, so the differential evidence also
-            // gates the compile-as-a-service path.
+            // checks that the pool and the cache are transparent.
             "--service" => through_service = true,
             // Forces `enable_inlining` on for every case and requires the
             // dependence-aware fusion path (double-buffer renaming plus

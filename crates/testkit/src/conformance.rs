@@ -115,13 +115,11 @@ pub fn install_quiet_panic_hook() {
                 .map(|s| (*s).to_string())
                 .or_else(|| info.payload().downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "non-string panic payload".to_string());
-            // Deliberately injected faults (engine band panics, compile
-            // service chaos panics) unwind on worker threads and are
-            // caught by their respective isolation boundaries; they are
-            // part of the fault campaign, not diagnostics worth printing.
-            if message.contains(INJECTED_BAND_PANIC)
-                || message.contains(wse_stencil::INJECTED_COMPILE_PANIC)
-            {
+            // Deliberately injected engine band panics unwind on worker
+            // threads and are caught by the engine's isolation boundary;
+            // they are part of the fault campaign, not diagnostics worth
+            // printing.
+            if message.contains(INJECTED_BAND_PANIC) {
                 return;
             }
             if !CAPTURING.with(|c| c.get()) {
@@ -179,8 +177,8 @@ pub fn shape_tolerance(program: &StencilProgram) -> f32 {
 /// compiling through a shared [`CompileService`] (pooled contexts +
 /// artifact cache) instead of a per-case [`Compiler`].  The conformance
 /// bin's `--service` flag drives this: every verdict must be identical
-/// through either path, which gates the service redesign on the same
-/// differential evidence as the pipeline itself.
+/// through either path, which checks that the context pool and the
+/// artifact cache are transparent.
 pub fn run_case_with_tolerance_via(
     case: &ConformanceCase,
     tolerance: f32,
@@ -192,7 +190,7 @@ pub fn run_case_with_tolerance_via(
 
 /// One shared [`CompileService`] per distinct option set, so `--service`
 /// runs exercise the pooled-context and artifact-cache paths across many
-/// cases the way a long-lived server would.
+/// cases.
 fn shared_service(compiler: &Compiler) -> Arc<CompileService> {
     static SERVICES: OnceLock<Mutex<HashMap<PipelineOptions, Arc<CompileService>>>> =
         OnceLock::new();
@@ -219,12 +217,6 @@ fn run_case_inner(case: &ConformanceCase, tolerance: f32, through_service: bool)
     let artifact = match compiled {
         Ok(artifact) => artifact,
         Err(e) => {
-            // The service isolates mid-pipeline panics into typed
-            // `internal-panic` errors; for conformance purposes a panic is
-            // still a panic, whichever compile path caught it.
-            if e.code() == Some("internal-panic") {
-                return Verdict::Panicked { detail: e.message().to_string() };
-            }
             return Verdict::Rejected {
                 stage: e.stage().to_string(),
                 message: e.message().to_string(),
@@ -678,12 +670,7 @@ fn run_fault_case_inner(case: &ConformanceCase, fault_seed: u64, rate: f64) -> F
         .coefficient_promotion(case.options.promote_coefficients);
     let artifact = match compiler.compile(&case.program) {
         Ok(artifact) => artifact,
-        Err(e) => {
-            if e.code() == Some("internal-panic") {
-                return fail(FaultOutcome::Panicked { detail: e.message().to_string() });
-            }
-            return fail(FaultOutcome::Rejected { code: e.code().map(str::to_string) });
-        }
+        Err(e) => return fail(FaultOutcome::Rejected { code: e.code().map(str::to_string) }),
     };
     let loaded = artifact.loaded_program();
     let options = LinkOptions::default();

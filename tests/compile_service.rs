@@ -66,26 +66,6 @@ fn cache_is_keyed_by_structure_and_options() {
 
     let stats = service.stats();
     assert_eq!((stats.cache_hits, stats.cache_misses, stats.cached_artifacts), (1, 2, 2));
-    service.clear_cache();
-    assert_eq!(service.stats().cached_artifacts, 0);
-}
-
-/// Batch compiles preserve input order and agree with single compiles.
-#[test]
-fn batch_compile_matches_sequential() {
-    let service = Compiler::new().num_chunks(2).service().workers(3);
-    let programs: Vec<_> = Benchmark::ALL.iter().map(|b| b.tiny_program()).collect();
-    let batch = service.compile_batch(&programs);
-    assert_eq!(batch.len(), programs.len());
-    for (program, result) in programs.iter().zip(&batch) {
-        let artifact = result.as_ref().expect("batch compile succeeds");
-        assert_eq!(artifact.program().name, program.name);
-        let solo = Compiler::new().num_chunks(2).compile(program).unwrap();
-        assert_eq!(solo.sources().files.len(), artifact.sources().files.len());
-        for file in &solo.sources().files {
-            assert_eq!(&file.content, &artifact.sources().file(&file.name).unwrap().content);
-        }
-    }
 }
 
 /// Typed errors surface identically through the service, and an invalid
@@ -104,55 +84,6 @@ fn service_errors_are_typed_and_recoverable() {
 
     let err = Compiler::new().num_chunks(0).service().compile(&bad).unwrap_err();
     assert!(matches!(err.kind(), CompileErrorKind::InvalidOptions { option: "num_chunks" }));
-}
-
-/// A mid-pipeline panic is isolated into a typed `internal-panic` error,
-/// the context it poisoned is discarded, and the service keeps serving;
-/// with a retry budget the caller never sees the transient at all.
-#[test]
-fn injected_panics_are_isolated_and_retriable() {
-    testkit::install_quiet_panic_hook();
-    let program = Benchmark::Jacobian.tiny_program();
-
-    let service = Compiler::new().num_chunks(2).service();
-    service.inject_panics(1);
-    let err = service.compile(&program).unwrap_err();
-    assert_eq!(err.kind(), &CompileErrorKind::Internal);
-    assert_eq!(err.code(), Some("internal-panic"));
-    let stats = service.stats();
-    assert_eq!((stats.panics_isolated, stats.contexts_discarded), (1, 1));
-    assert_eq!(stats.pooled_contexts, 0, "the poisoned context was not repooled");
-    // Still healthy.
-    assert!(service.compile(&program).is_ok());
-
-    let retrying = Compiler::new().num_chunks(2).service().retry(2, std::time::Duration::ZERO);
-    retrying.inject_panics(2);
-    let artifact = retrying.compile(&program).expect("the retry budget absorbs the transient");
-    assert_eq!(artifact.program().name, program.name);
-    assert_eq!(retrying.stats().retries_spent, 2);
-}
-
-/// An over-deadline compile fails with a typed `deadline-exceeded` error
-/// while the detached worker finishes and fills the cache for the next
-/// request.
-#[test]
-fn deadline_expiry_is_typed_and_work_is_not_wasted() {
-    testkit::install_quiet_panic_hook();
-    let program = Benchmark::Diffusion.tiny_program();
-    let service =
-        Compiler::new().num_chunks(2).service().deadline(std::time::Duration::from_millis(100));
-    service.inject_stall(std::time::Duration::from_millis(600));
-    let err = service.compile(&program).unwrap_err();
-    assert_eq!(err.kind(), &CompileErrorKind::DeadlineExceeded);
-    assert_eq!(err.code(), Some("deadline-exceeded"));
-    assert!(service.stats().deadlines_expired >= 1);
-    // The detached worker completes: poll until its artifact lands.
-    let bound = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while service.stats().cached_artifacts == 0 {
-        assert!(std::time::Instant::now() < bound, "detached compile never completed");
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    assert!(service.compile(&program).is_ok(), "the late artifact serves the next request");
 }
 
 /// Generated conformance seeds give the same verdict through the service
