@@ -334,6 +334,32 @@ mod tests {
         assert!(compiler.machine().self_transmit);
     }
 
+    /// `wse-lint --explain` knows every code a compile can fail with.  The
+    /// kinds are walked in declaration order, each arm of the exhaustive
+    /// match building its successor, so a new kind does not compile here
+    /// until it joins the walk and is looked up.
+    #[test]
+    fn every_compile_error_code_is_registered() {
+        let next = |kind: &CompileErrorKind| match kind {
+            CompileErrorKind::Emit => Some(CompileErrorKind::Pass {
+                pass: "distribute-stencil".into(),
+                code: Some("non-linear-degree".into()),
+            }),
+            CompileErrorKind::Pass { .. } => Some(CompileErrorKind::Load),
+            CompileErrorKind::Load => Some(CompileErrorKind::Simulate),
+            CompileErrorKind::Simulate => {
+                Some(CompileErrorKind::InvalidOptions { option: "num_chunks" })
+            }
+            CompileErrorKind::InvalidOptions { .. } => None,
+        };
+        let mut kind = Some(CompileErrorKind::Emit);
+        while let Some(current) = kind {
+            let code = current.code().expect("every kind here carries a code");
+            assert!(wse_ir::diagnostics::lookup(code).is_some(), "{code:?} is not registered");
+            kind = next(&current);
+        }
+    }
+
     #[test]
     fn out_of_range_options_are_typed_errors() {
         // num_chunks(0) used to clamp silently to 1; it is now a typed

@@ -191,6 +191,41 @@ pub const REGISTRY: &[DiagnosticInfo] = &[
         explanation: "The apply region violates a structural invariant (wrong terminator, \
                       missing block argument, dangling access) and cannot be analyzed.",
     },
+    // ---- Compiler-facade failures (`CompileErrorKind::code` in `wse-core`).
+    DiagnosticInfo {
+        code: "emit-invalid-program",
+        severity: Severity::Error,
+        summary: "stencil program failed validation before any IR was emitted",
+        explanation: "The front-end program is malformed: a non-positive grid extent or \
+                      timestep count, no equations, or an equation that reads or writes a \
+                      field the program does not declare.  Nothing was lowered; fix the \
+                      program.",
+    },
+    DiagnosticInfo {
+        code: "load-failed",
+        severity: Severity::Error,
+        summary: "lowered program could not be loaded into the simulator",
+        explanation: "Every lowering pass succeeded, but the loader could not turn the final \
+                      `csl` module into an executable per-PE program.  The pipeline produced \
+                      a shape the loader does not accept, so this points at a lowering or \
+                      loader defect rather than at the source program.",
+    },
+    DiagnosticInfo {
+        code: "simulate-failed",
+        severity: Severity::Error,
+        summary: "functional simulation of the compiled program failed",
+        explanation: "The artifact compiled and loaded, but linking or running it on the \
+                      simulator returned an execution error while it was checked against \
+                      the reference executor.  The message carries the engine's own error.",
+    },
+    DiagnosticInfo {
+        code: "invalid-options",
+        severity: Severity::Error,
+        summary: "compiler option is out of range",
+        explanation: "A builder option was rejected before any IR existed: `num_chunks`, \
+                      `width` and `height` must each be at least 1.  The message names the \
+                      option and the value given.",
+    },
     // ---- Link-time validation classes (`link.rs` rejection families).
     DiagnosticInfo {
         code: "link-grid",

@@ -56,7 +56,10 @@ use std::ops::Range;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
-use crate::checkpoint::{checksum_f32, row_checksums, Checkpoint, RecoveryOptions, RecoveryStats};
+use crate::checkpoint::{
+    checksum_f32, live_row_checksums, live_spans, Checkpoint, RecoveryOptions, RecoveryStats,
+};
+use crate::deps::Span;
 use crate::fault::{FaultKind, FaultOptions, FaultPlan, INJECTED_BAND_PANIC};
 use crate::kernels::{BatchTerm, MAX_ARITY};
 use crate::link::{
@@ -217,7 +220,10 @@ struct RecoveryState {
     options: RecoveryOptions,
     /// The rollback anchor (the latest checkpoint).
     checkpoint: Option<Checkpoint>,
-    /// Per-PE-row arena checksums of the last verified-clean state.
+    /// The arena spans live across a step boundary (see
+    /// [`live_spans`]): all the per-step checksums cover.
+    live: Vec<Span>,
+    /// Per-PE-row checksums of the live state last verified clean.
     row_sums: Vec<u64>,
     stats: RecoveryStats,
 }
@@ -371,12 +377,11 @@ impl WseGridSim {
         checkpoint.restore_into(&mut self.arenas);
         self.step = checkpoint.step();
         self.poisoned = false;
-        let row_stride = self.linked.width as usize * self.linked.arena_len;
+        if self.recovery.as_ref().is_some_and(|r| r.options.verify) {
+            self.refresh_row_sums();
+        }
         if let Some(recovery) = self.recovery.as_mut() {
             recovery.checkpoint = Some(checkpoint.clone());
-            if recovery.options.verify {
-                recovery.row_sums = row_checksums(&self.arenas, row_stride);
-            }
         }
         Ok(())
     }
@@ -404,13 +409,17 @@ impl WseGridSim {
     /// with [`RecoveryOptions::verify`] on — per-row arena checksums
     /// verified at every step boundary plus halo delivery checksums
     /// inside capturing kernels (see the cost model on
-    /// [`crate::checkpoint`]).  With faults disabled the machinery is
-    /// bitwise-transparent (checksums and checkpoints never alter
+    /// [`crate::checkpoint`]).  The row checksums cover only the state
+    /// live across a step boundary, computed here once from the
+    /// dependence model: a flip in dead state is overwritten before it is
+    /// read, so it costs no rollback.  With faults disabled the machinery
+    /// is bitwise-transparent (checksums and checkpoints never alter
     /// state).
     pub fn enable_recovery(&mut self, options: RecoveryOptions) {
         self.recovery = Some(RecoveryState {
             options,
             checkpoint: None,
+            live: live_spans(&self.linked),
             row_sums: Vec::new(),
             stats: RecoveryStats::default(),
         });
@@ -501,7 +510,6 @@ impl WseGridSim {
     /// corruption) into rollback-and-replay, and give up with a typed
     /// error once the rollback budget is spent.
     fn run_recovering(&mut self, target: i64) -> Result<(), ExecError> {
-        let row_stride = self.linked.width as usize * self.linked.arena_len;
         {
             // Anchor checkpoint and baseline checksums of the entry state,
             // so even the first step can roll back.
@@ -513,14 +521,14 @@ impl WseGridSim {
                 recovery.checkpoint = Some(ck);
             }
             if recovery.options.verify && recovery.row_sums.is_empty() {
-                recovery.row_sums = row_checksums(&self.arenas, row_stride);
+                self.refresh_row_sums();
             }
         }
         loop {
             // Integrity first, return second: corruption injected after
             // the final step is still caught before the run reports clean.
             if self.recovery.as_ref().expect("recovery enabled").options.verify {
-                let sums = row_checksums(&self.arenas, row_stride);
+                let sums = self.live_row_sums();
                 let recovery = self.recovery.as_mut().expect("recovery enabled");
                 if sums != recovery.row_sums {
                     recovery.stats.checksum_failures += 1;
@@ -533,10 +541,10 @@ impl WseGridSim {
             }
             match self.run_timestep() {
                 Ok(()) => {
-                    let recovery = self.recovery.as_mut().expect("recovery enabled");
-                    if recovery.options.verify {
-                        recovery.row_sums = row_checksums(&self.arenas, row_stride);
+                    if self.recovery.as_ref().expect("recovery enabled").options.verify {
+                        self.refresh_row_sums();
                     }
+                    let recovery = self.recovery.as_mut().expect("recovery enabled");
                     let due = match &recovery.checkpoint {
                         Some(ck) => self.step - ck.step() >= recovery.options.checkpoint_every,
                         None => true,
@@ -589,6 +597,19 @@ impl WseGridSim {
                 }
             }
         }
+    }
+
+    /// Per-PE-row checksums of the state live across a step boundary.
+    fn live_row_sums(&self) -> Vec<u64> {
+        let live = &self.recovery.as_ref().expect("recovery enabled").live;
+        live_row_checksums(&self.arenas, self.linked.width as usize, self.linked.arena_len, live)
+    }
+
+    /// Stores the current state's [`WseGridSim::live_row_sums`] as the
+    /// verified-clean reference.
+    fn refresh_row_sums(&mut self) {
+        let sums = self.live_row_sums();
+        self.recovery.as_mut().expect("recovery enabled").row_sums = sums;
     }
 
     /// Restores the latest checkpoint, charging the rollback budget.

@@ -7,11 +7,13 @@
 
 use std::sync::Once;
 
-use wse_frontends::benchmarks::jacobian;
+use wse_frontends::ast::{Expr, Frontend, GridSpec, StencilEquation, StencilProgram};
+use wse_frontends::benchmarks::{acoustic, jacobian, uvkbe};
 use wse_lowering::{lower_program, PipelineOptions};
+use wse_sim::checkpoint::live_spans;
 use wse_sim::{
     load_program, ExecErrorKind, FaultKind, FaultOptions, FaultPlan, GridState, LinkOptions,
-    LoadedProgram, RecoveryOptions, WseGridSim, INJECTED_BAND_PANIC,
+    LoadedProgram, RecoveryOptions, RecoveryStats, WseGridSim, INJECTED_BAND_PANIC,
 };
 
 /// Suppresses the deliberately injected band-fault panics (they unwind
@@ -39,11 +41,14 @@ fn quiet_injected_panics() {
     });
 }
 
-fn loaded_jacobian(nx: i64, ny: i64, nz: i64, steps: i64) -> LoadedProgram {
-    let program = jacobian(nx, ny, nz, steps);
+fn loaded(program: &StencilProgram) -> LoadedProgram {
     let options = PipelineOptions { num_chunks: 2, ..PipelineOptions::default() };
-    let lowered = lower_program(&program, &options).expect("lowering succeeds");
+    let lowered = lower_program(program, &options).expect("lowering succeeds");
     load_program(&lowered.ctx, lowered.module).expect("loading succeeds")
+}
+
+fn loaded_jacobian(nx: i64, ny: i64, nz: i64, steps: i64) -> LoadedProgram {
+    loaded(&jacobian(nx, ny, nz, steps))
 }
 
 fn state_of(loaded: &LoadedProgram, link: LinkOptions) -> GridState {
@@ -342,4 +347,105 @@ fn fault_campaign_without_enable_recovery_auto_enables_verified_recovery() {
     assert!(stats.checksum_failures > 0, "verification was on: {stats:?}");
     assert!(stats.rollbacks > 0, "recovery actually fired");
     assert_eq!(stats.checkpoints_saved, 1, "16 steps fit inside the default 256-step cadence");
+}
+
+/// Flips bit 30 (an exponent bit: a leak would be glaring) of every
+/// element of one interior PE's arena, one run per element, at the step
+/// boundary after step 3 — one step past the cadence's checkpoint.  A
+/// flip in the state live across the boundary must be detected and
+/// replayed; one in dead state must cost nothing, because the next step
+/// overwrites it before reading it.  Both must end bitwise equal to the
+/// fault-free stream.
+fn flips_across_the_live_dead_boundary(program: &StencilProgram) {
+    let loaded = loaded(program);
+    let baseline = state_of(&loaded, LINK);
+    let mut engine = WseGridSim::with_options(loaded, LINK).expect("links");
+    engine.enable_recovery(RecoveryOptions {
+        checkpoint_every: 2,
+        verify: true,
+        ..RecoveryOptions::default()
+    });
+    let linked = engine.linked();
+    let live = live_spans(linked);
+    let pe = (linked.width + 1) as usize;
+
+    for (id, _) in linked.field_ids.iter().zip(&linked.field_internal).filter(|(_, &i)| !i) {
+        let start = linked.layouts[id.0 as usize].base + linked.z_halo as usize;
+        let end = start + linked.z_dim as usize;
+        assert!(
+            live.iter().any(|&(s, e)| s <= start && end <= e),
+            "observable interior {start}..{end} outside the live spans {live:?}"
+        );
+    }
+
+    let flipped = |offset: usize| -> RecoveryStats {
+        let mut sim = engine.clone();
+        let flip = FaultKind::ArenaBitFlip { pe, offset, bit: 30 };
+        sim.set_fault_plan(FaultPlan::from_events(vec![(2, flip)]));
+        sim.run(None).expect("the run finishes");
+        let state = sim.grid_state().expect("extracts");
+        assert_bitwise(&format!("flip at {offset}"), &baseline, &state);
+        let stats = *sim.recovery_stats().expect("recovery was enabled");
+        assert_eq!(stats.faults.bit_flips, 1, "the flip at {offset} fired");
+        stats
+    };
+    let (mut live_elems, mut dead_elems) = (0, 0);
+    for offset in 0..linked.arena_len {
+        let stats = flipped(offset);
+        if live.iter().any(|&(s, e)| s <= offset && offset < e) {
+            live_elems += 1;
+            assert_eq!(stats.checksum_failures, 1, "live flip at {offset} detected: {stats:?}");
+            assert_eq!(stats.rollbacks, 1, "live flip at {offset} rolled back: {stats:?}");
+            assert_eq!(stats.steps_replayed, 1, "one step past the checkpoint: {stats:?}");
+        } else {
+            dead_elems += 1;
+            assert_eq!(stats.checksum_failures, 0, "dead flip at {offset}: {stats:?}");
+            assert_eq!(stats.rollbacks, 0, "dead flip at {offset}: {stats:?}");
+        }
+    }
+    assert!(live_elems > 0 && dead_elems > 0, "{live_elems} live, {dead_elems} dead: {live:?}");
+}
+
+#[test]
+fn jacobian_flips_in_dead_state_cost_nothing_and_live_ones_recover() {
+    flips_across_the_live_dead_boundary(&jacobian(4, 4, 8, 6));
+}
+
+#[test]
+fn uvkbe_flips_in_dead_state_cost_nothing_and_live_ones_recover() {
+    flips_across_the_live_dead_boundary(&uvkbe(4, 4, 8, 6));
+}
+
+/// A self-updating producer feeding a consumer is fused by renaming its
+/// store into an internal double buffer (`f0__dbuf0`): a field, but not
+/// observable state.  Whether it is live is the dependence model's answer,
+/// not the field list's (here each step writes it before reading it).
+#[test]
+fn double_buffer_flips_in_dead_state_cost_nothing_and_live_ones_recover() {
+    let program = StencilProgram {
+        name: "double_buffer".into(),
+        frontend: Frontend::Csl,
+        grid: GridSpec::new(4, 4, 8),
+        fields: vec!["f0".into(), "f1".into()],
+        equations: vec![
+            StencilEquation::new(
+                "f0",
+                Expr::at("f0", 0, 0, -1).scale(0.4) + Expr::center("f0").scale(0.3),
+            ),
+            StencilEquation::new(
+                "f1",
+                Expr::center("f0").scale(0.3) + Expr::at("f1", 0, 0, 1).scale(0.2),
+            ),
+        ],
+        timesteps: 6,
+        source: String::new(),
+    };
+    program.validate().expect("valid program");
+    assert_eq!(loaded(&program).internal_fields, ["f0__dbuf0"], "the self-update is renamed");
+    flips_across_the_live_dead_boundary(&program);
+}
+
+#[test]
+fn acoustic_flips_in_dead_state_cost_nothing_and_live_ones_recover() {
+    flips_across_the_live_dead_boundary(&acoustic(4, 4, 8, 6));
 }
